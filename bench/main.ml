@@ -20,7 +20,8 @@
      R  — §4.3 robustness across build modes
      CS — creation sweep: serial vs domain-parallel update creation
      ST — store sweep: cold vs warm creation through the artifact store
-     CR — crash sweep: publish killed at every I/O op, recovery verified
+     SW — the corpus robustness sweeps (fault, manager, diffmin, crash,
+          transition) through the one sweep engine
      P  — Bechamel: apply pause, trampoline overhead, run-pre matching,
           update creation *)
 
@@ -530,33 +531,6 @@ let ablation () =
      equivalence. A byte-exact matcher rejects safe updates whenever the \
      distro build aligned a loop head that the pre build did not.)\n"
 
-(* ---------- FS: fault-injection sweep ---------- *)
-
-let fault_sweep () =
-  section "Fault-injection sweep: transactional apply under induced failure";
-  (* every CVE x every pipeline step: inject the step's canonical fault,
-     require a byte-identical rollback, then a clean re-apply that still
-     survives stress and blocks the CVE's exploit *)
-  let report = Corpus.Sweep.run ~seed:0 ~domains:(par_domains ()) () in
-  print_string (Format.asprintf "%a" Corpus.Sweep.pp_matrix report);
-  if not (Corpus.Sweep.ok report) then
-    print_endline "*** SWEEP FAILED: rollback contract violated ***"
-
-(* ---------- MS: supervised manager sweep ---------- *)
-
-let manager_result = ref None
-
-let manager_sweep ?cves () =
-  section
-    "Supervised manager sweep: watchdog, retry queue, health-gated revert";
-  let r =
-    Corpus.Sweep.run_manager ~seed:0 ?cves ~domains:(par_domains ()) ()
-  in
-  print_string (Format.asprintf "%a" Corpus.Sweep.pp_manager r);
-  manager_result := Some r;
-  if not (Corpus.Sweep.manager_ok r) then
-    print_endline "*** MANAGER SWEEP FAILED: supervision contract violated ***"
-
 (* ---------- CS: serial vs domain-parallel update creation ---------- *)
 
 let creation_sweep ?(cves = Corpus.Cve.all) () =
@@ -694,38 +668,6 @@ let store_sweep ?(cves = Corpus.Cve.all) () =
   if skipped = 0 then
     print_endline "*** WARM PASS SKIPPED NO UNITS: incremental path dead ***"
 
-(* ---------- DF: function-granular vs whole-unit differencing ---------- *)
-
-let differencing_result : Corpus.Sweep.dm_report option ref = ref None
-
-let differencing_sweep ?cves () =
-  section "Differencing sweep: minimal vs whole-unit updates";
-  let r = Corpus.Sweep.run_diffmin ?cves ~domains:(par_domains ()) () in
-  differencing_result := Some r;
-  Printf.printf "rows:                %6d\n" (List.length r.dm_rows);
-  Printf.printf "update bytes:        %8d minimal vs %8d whole-unit \
-                 (%.0f%% saved)\n"
-    r.dm_bytes_min r.dm_bytes_whole
-    (100.
-    *. (1. -. (float_of_int r.dm_bytes_min /. float_of_int r.dm_bytes_whole))
-    );
-  Printf.printf "run-pre trials:      %8d minimal vs %8d whole-unit\n"
-    r.dm_trials_min r.dm_trials_whole;
-  Printf.printf
-    "demos:               %d closure, %d data-referent, %d data-init \
-     refusals\n"
-    r.dm_closure_demos r.dm_dataref_demos r.dm_persist_rejects;
-  Printf.printf "violations:          %6d\n" r.dm_violations;
-  if not (Corpus.Sweep.diffmin_ok r) then begin
-    List.iter
-      (fun (row : Corpus.Sweep.dmrow) ->
-        List.iter
-          (fun m -> Printf.printf "VIOLATION %s: %s\n" row.dm_cve m)
-          row.dm_notes)
-      r.dm_rows;
-    print_endline "*** MINIMAL DIFFERENCING SWEEP FAILED ***"
-  end
-
 (* ---------- TR: tracing overhead and byte identity ---------- *)
 
 (* (cves, untraced wall s, traced wall s, identical, records) *)
@@ -794,12 +736,12 @@ let trace_overhead ?(cves = Corpus.Cve.all) () =
     Printf.printf "*** TRACING OVERHEAD %.2fx EXCEEDS %.2fx BUDGET ***\n"
       overhead trace_overhead_budget
 
-(* ---------- CR: crash-recovery sweep ---------- *)
+(* ---------- SW: the corpus robustness sweeps ---------- *)
 
 module Repo = Ksplice.Repository
 
-(* (report, wall seconds to reopen one mid-publish-crashed repository) *)
-let crash_result : (Corpus.Sweep.crash_report * float) option ref = ref None
+(* one BENCH.json entry per sweep run *)
+let sweep_results : Report.Json.t list ref = ref []
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -808,20 +750,10 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let crash_sweep ?cves () =
-  section "Crash-recovery sweep: publish killed at every mutating I/O op";
-  let cves =
-    match cves with Some c -> c | None -> Corpus.Sweep.crash_sample ()
-  in
-  let report =
-    Corpus.Sweep.run_crash ~seed:0 ~cves ~domains:(par_domains ()) ()
-  in
-  print_string (Format.asprintf "%a" Corpus.Sweep.pp_crash report);
-  if not (Corpus.Sweep.crash_ok report) then
-    print_endline "*** CRASH SWEEP FAILED: persistence contract violated ***";
-  (* clock one recovery: crash a publish partway through its blob puts,
-     then time the reopen that replays the journal and sweeps the debris *)
-  let cve = List.hd cves in
+(* clock one recovery: crash a publish of [cve] partway through its blob
+   puts, then time the reopen that replays the journal and sweeps the
+   debris *)
+let crash_recovery_s (cve : Corpus.Cve.t) =
   let dir = Filename.temp_file "kspl-bench-crash" "" in
   Sys.remove dir;
   Fun.protect
@@ -844,12 +776,7 @@ let crash_sweep ?cves () =
        | Ok _ -> ()
        | Error e ->
          Format.kasprintf failwith "crash bench reopen: %a" Repo.pp_error e);
-      let recovery_t = now () -. t0 in
-      crash_result := Some (report, recovery_t);
-      Printf.printf "reopen+recover after a mid-publish crash: %.6f s\n"
-        recovery_t)
-
-(* ---------- TN: per-thread transition vs stop_machine ---------- *)
+      now () -. t0)
 
 (* The machine's time model: 1 instruction = 1 ns (the stop_machine
    pause model in lib/kernel is calibrated against the same scale). A
@@ -857,91 +784,99 @@ let crash_sweep ?cves () =
    the stress workload spent frozen: pause / (pause + work). *)
 let ns_per_insn = 1
 
-type transition_outcome = {
-  tn_report : Corpus.Sweep.treport;
-  tn_dip : float;  (** per-thread engagement, mean over rows *)
-  tn_base_dip : float;  (** stop_machine baseline, same denominators *)
-  tn_pauses : int list;  (** per-thread apply pauses (ns), one per row *)
-  tn_undo_pauses : int list;
-  tn_base_pauses : int list;  (** stop_machine pauses under load *)
-  tn_straggler_pauses : int list;  (** bounded-fallback pauses *)
-  tn_migrated : (string * int) list;  (** safe-point class -> threads *)
-  tn_footprints_identical : bool;
-}
-
-let transition_result : transition_outcome option ref = ref None
-
-let transition_sweep ?cves () =
-  section "Transition sweep: per-thread engagement vs stop_machine under load";
-  let report =
-    Corpus.Sweep.run_transition ?cves ~domains:(par_domains ()) ()
-  in
-  print_string (Format.asprintf "%a" Corpus.Sweep.pp_transition report);
-  let rows = report.Corpus.Sweep.t_rows in
-  let dip_of pause work =
-    if pause = 0 then 0.0
-    else float_of_int pause /. float_of_int (pause + work)
-  in
-  let mean l =
-    match l with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  let dips, base_dips =
-    List.split
-      (List.map
-         (fun (r : Corpus.Sweep.trow) ->
-           let work = r.t_sched_steps * ns_per_insn in
-           (dip_of r.t_pause_ns work, dip_of r.t_base_pause_ns work))
-         rows)
-  in
-  let dip = mean dips and base_dip = mean base_dips in
-  let classes =
+(* the figures the bench derives from a sweep's row counters *)
+let sweep_figures (r : Corpus.Sweep.report) =
+  let open Report.Json in
+  let num n = Num (float_of_int n) in
+  let column k =
     List.map
-      (fun c ->
-        let name = Manager.Transition.sp_class_name c in
-        ( name,
-          List.fold_left
-            (fun acc (r : Corpus.Sweep.trow) ->
-              acc
-              + (try List.assoc name r.t_migrated with Not_found -> 0)
-              (* apply-phase stats carry no Forced entries (a pauseless
-                 apply never forces); the straggler cells do *)
-              + (if c = Manager.Transition.Forced then r.t_straggler_forced
-                 else 0))
-            0 rows ))
-      Manager.Transition.all_classes
+      (fun (row : Corpus.Sweep.row) ->
+        Option.value ~default:0 (List.assoc_opt k row.counters))
+      r.rows
   in
-  let identical = Corpus.Sweep.transition_ok report in
-  transition_result :=
-    Some
-      {
-        tn_report = report;
-        tn_dip = dip;
-        tn_base_dip = base_dip;
-        tn_pauses = List.map (fun (r : Corpus.Sweep.trow) -> r.t_pause_ns) rows;
-        tn_undo_pauses =
-          List.map (fun (r : Corpus.Sweep.trow) -> r.t_undo_pause_ns) rows;
-        tn_base_pauses =
-          List.map (fun (r : Corpus.Sweep.trow) -> r.t_base_pause_ns) rows;
-        tn_straggler_pauses =
-          List.map (fun (r : Corpus.Sweep.trow) -> r.t_straggler_pause_ns) rows;
-        tn_migrated = classes;
-        tn_footprints_identical = identical;
-      };
-  Printf.printf "throughput dip (per-thread engagement): %8.5f\n" dip;
-  Printf.printf "throughput dip (stop_machine baseline): %8.5f\n" base_dip;
+  match r.sweep with
+  | "transition" ->
+    let dip_of pause work =
+      if pause = 0 then 0.0
+      else float_of_int pause /. float_of_int (pause + work)
+    in
+    let mean_dip pauses =
+      let dips =
+        List.map2
+          (fun p steps -> dip_of p (steps * ns_per_insn))
+          pauses (column "sched_steps")
+      in
+      if dips = [] then 0.0
+      else List.fold_left ( +. ) 0.0 dips /. float_of_int (List.length dips)
+    in
+    let dip = mean_dip (column "pause_ns") in
+    let base_dip = mean_dip (column "base_pause_ns") in
+    let pauses k = Arr (List.map num (column k)) in
+    [ ("dip", Num dip); ("baseline_dip", Num base_dip);
+      ("dip_below_baseline", Bool (dip < base_dip));
+      ("pauses_ns", pauses "pause_ns");
+      ("undo_pauses_ns", pauses "undo_pause_ns");
+      ("baseline_pauses_ns", pauses "base_pause_ns");
+      ("straggler_pauses_ns", pauses "straggler_pause_ns");
+      (* apply-phase stats carry no forced entries (a pauseless apply
+         never forces); the straggler cells do *)
+      ( "migrated_by_class",
+        Obj
+          (List.map
+             (fun c ->
+               let name = Manager.Transition.sp_class_name c in
+               ( name,
+                 num
+                   (Corpus.Sweep.total r ("migrated_" ^ name)
+                   + if c = Manager.Transition.Forced then
+                       Corpus.Sweep.total r "straggler_forced"
+                     else 0) ))
+             Manager.Transition.all_classes) ) ]
+  | "crash" -> (
+    match r.rows with
+    | row :: _ ->
+      [ ("recovery_s",
+         Num (crash_recovery_s (Option.get (Corpus.Cve.find row.key)))) ]
+    | [] -> [])
+  | _ -> []
+
+let sweeps runs =
   List.iter
-    (fun (name, n) -> Printf.printf "migrated at %-8s %6d threads\n" name n)
-    classes;
-  Printf.printf "pauseless rows: %d/%d   straggler fallbacks: %d/%d\n"
-    report.Corpus.Sweep.t_pauseless (List.length rows)
-    report.Corpus.Sweep.t_fallbacks (List.length rows);
-  Printf.printf "footprints byte-identical to stop_machine: %b\n" identical;
-  if not identical then
-    print_endline "*** TRANSITION SWEEP DIVERGED FROM STOP_MACHINE ***";
-  if dip >= base_dip then
-    print_endline "*** PER-THREAD DIP NOT BELOW STOP_MACHINE BASELINE ***"
+    (fun (name, keys) ->
+      timed (name ^ "_sweep") (fun () ->
+          let sw = Result.get_ok (Corpus.Sweep.find name) in
+          section ("Sweep " ^ name ^ ": " ^ sw.doc);
+          match
+            Corpus.Sweep.run ~seed:0 ~keys ~domains:(par_domains ()) sw
+          with
+          | Error e -> Format.kasprintf failwith "%a" Corpus.Sweep.pp_error e
+          | Ok r ->
+            print_string (Format.asprintf "%a" Corpus.Sweep.pp r);
+            let figures = sweep_figures r in
+            List.iter
+              (fun (k, v) ->
+                match v with
+                | Report.Json.Num f -> Printf.printf "%-20s %g\n" k f
+                | Report.Json.Bool b -> Printf.printf "%-20s %b\n" k b
+                | _ -> ())
+              figures;
+            if not (Corpus.Sweep.ok r) then
+              Printf.printf "*** %s SWEEP FAILED ***\n" name;
+            let ints kvs =
+              Report.Json.Obj
+                (List.map
+                   (fun (k, v) -> (k, Report.Json.Num (float_of_int v)))
+                   kvs)
+            in
+            sweep_results :=
+              !sweep_results
+              @ [ Report.Json.Obj
+                    [ ("name", Str name);
+                      ("ok", Bool (Corpus.Sweep.ok r));
+                      ("totals", ints r.totals);
+                      ("failures", Arr (List.map (fun f -> Report.Json.Str f) r.failures));
+                      ("figures", Obj figures) ] ]))
+    runs
 
 (* ---------- FL: simulated fleet distribution ---------- *)
 
@@ -1380,7 +1315,7 @@ let emit_bench_json ~mode () =
   let doc =
     Obj
       [
-        ("schema", Str "ksplice-bench/1");
+        ("schema", Str "ksplice-bench/2");
         ("mode", Str mode);
         ("domains", num (par_domains ()));
         ("available_domains", num (Parallel.available_domains ()));
@@ -1413,19 +1348,6 @@ let emit_bench_json ~mode () =
               ("hits", num is.hits);
               ("hit_rate", rate is.hits is.lookups);
             ] );
-        ( "manager_sweep",
-          match !manager_result with
-          | None -> Null
-          | Some (r : Corpus.Sweep.mreport) ->
-            Obj
-              [
-                ("cells", num r.m_cells_total);
-                ("healthy", num r.m_healthy);
-                ("parked", num r.m_parked);
-                ("quarantined", num r.m_quarantined);
-                ("violations", num r.m_violations);
-                ("failures", num r.m_failures);
-              ] );
         ( "creation_sweep",
           match !creation_result with
           | None -> Null
@@ -1455,23 +1377,6 @@ let emit_bench_json ~mode () =
                 ("diff_bytes_saved", num s.st_diff_bytes_saved);
                 ("skipped_symbols", num s.st_skipped_syms);
               ] );
-        ( "differencing",
-          match !differencing_result with
-          | None -> Null
-          | Some r ->
-            Obj
-              [
-                ("rows", num (List.length r.dm_rows));
-                ("bytes_min", num r.dm_bytes_min);
-                ("bytes_whole", num r.dm_bytes_whole);
-                ("trials_min", num r.dm_trials_min);
-                ("trials_whole", num r.dm_trials_whole);
-                ("closure_demos", num r.dm_closure_demos);
-                ("dataref_demos", num r.dm_dataref_demos);
-                ("persist_rejects", num r.dm_persist_rejects);
-                ("violations", num r.dm_violations);
-                ("ok", Bool (Corpus.Sweep.diffmin_ok r));
-              ] );
         ( "trace",
           match !trace_result with
           | None -> Null
@@ -1488,50 +1393,7 @@ let emit_bench_json ~mode () =
                 ("identical", Bool identical);
                 ("records", num records);
               ] );
-        ( "transition",
-          match !transition_result with
-          | None -> Null
-          | Some t ->
-            let r = t.tn_report in
-            let pauses l = Arr (List.map (fun p -> num p) l) in
-            Obj
-              [
-                ("cves", num (List.length r.Corpus.Sweep.t_rows));
-                ( "threads",
-                  num
-                    (List.fold_left
-                       (fun a (row : Corpus.Sweep.trow) -> a + row.t_threads)
-                       0 r.Corpus.Sweep.t_rows) );
-                ("dip", Num t.tn_dip);
-                ("baseline_dip", Num t.tn_base_dip);
-                ("dip_below_baseline", Bool (t.tn_dip < t.tn_base_dip));
-                ("pauses_ns", pauses t.tn_pauses);
-                ("undo_pauses_ns", pauses t.tn_undo_pauses);
-                ("baseline_pauses_ns", pauses t.tn_base_pauses);
-                ("straggler_pauses_ns", pauses t.tn_straggler_pauses);
-                ( "migrated_by_class",
-                  Obj (List.map (fun (c, n) -> (c, num n)) t.tn_migrated) );
-                ("pauseless_rows", num r.Corpus.Sweep.t_pauseless);
-                ("straggler_fallbacks", num r.Corpus.Sweep.t_fallbacks);
-                ("violations", num r.Corpus.Sweep.t_violations);
-                ("footprints_identical", Bool t.tn_footprints_identical);
-              ] );
-        ( "crash_recovery",
-          match !crash_result with
-          | None -> Null
-          | Some ((r : Corpus.Sweep.crash_report), recovery_t) ->
-            Obj
-              [
-                ("cves", num (List.length r.c_rows));
-                ("cells", num r.c_cells);
-                ("published", num r.c_published);
-                ("absent", num r.c_absent);
-                ("violations", num r.c_violations);
-                ("gc_swept", num r.c_gc_swept);
-                ("gc_reclaimed_bytes", num r.c_gc_bytes);
-                ("recovery_s", Num recovery_t);
-                ("ok", Bool (Corpus.Sweep.crash_ok r));
-              ] );
+        ("sweeps", Arr !sweep_results);
         ( "fleet",
           match !fleet_result with
           | None -> Null
@@ -1614,15 +1476,16 @@ let () =
     timed "consequences" consequences;
     timed "creation_sweep" (fun () -> creation_sweep ~cves:quick_cves ());
     timed "store_sweep" (fun () -> store_sweep ~cves:quick_cves ());
-    timed "differencing_sweep" (fun () ->
-        differencing_sweep ~cves:(quick_cves @ Corpus.Cve.diff_extras) ());
-    timed "manager_sweep" (fun () ->
-        manager_sweep ~cves:(List.filteri (fun i _ -> i < 4) quick_cves) ());
     timed "trace_overhead" (fun () -> trace_overhead ~cves:quick_cves ());
-    timed "crash_sweep" (fun () ->
-        crash_sweep ~cves:(List.filteri (fun i _ -> i < 2) quick_cves) ());
-    timed "transition_sweep" (fun () ->
-        transition_sweep ~cves:(List.filteri (fun i _ -> i < 2) quick_cves) ());
+    let first n =
+      List.filteri (fun i _ -> i < n)
+        (List.map (fun (c : Corpus.Cve.t) -> c.id) quick_cves)
+    in
+    sweeps
+      [ ("manager", first 4);
+        ("diffmin",
+         first 8 @ List.map (fun (c : Corpus.Cve.t) -> c.id) Corpus.Cve.diff_extras);
+        ("crash", first 2); ("transition", first 2) ];
     timed "fleet_bench" (fun () -> fleet_bench ());
     timed "cumulative_bench" (fun () -> cumulative_bench ~depths:[ 1; 4 ] ());
     timed "bechamel" (fun () -> bechamel_benches ~quick:true ())
@@ -1639,14 +1502,12 @@ let () =
     timed "baseline" baseline;
     timed "kernel_matrix" kernel_matrix;
     timed "ablation" ablation;
-    timed "fault_sweep" fault_sweep;
-    timed "manager_sweep" (fun () -> manager_sweep ());
     timed "creation_sweep" (fun () -> creation_sweep ());
     timed "store_sweep" (fun () -> store_sweep ());
-    timed "differencing_sweep" (fun () -> differencing_sweep ());
     timed "trace_overhead" (fun () -> trace_overhead ());
-    timed "crash_sweep" (fun () -> crash_sweep ());
-    timed "transition_sweep" (fun () -> transition_sweep ());
+    sweeps
+      [ ("fault", []); ("manager", []); ("diffmin", []); ("crash", []);
+        ("transition", []) ];
     timed "fleet_bench" (fun () -> fleet_bench ~subscribers:1024 ());
     timed "cumulative_bench" (fun () -> cumulative_bench ());
     timed "appendix" appendix;

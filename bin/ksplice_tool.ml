@@ -252,16 +252,6 @@ let cmd_demo cve_id =
         | None -> ());
        Printf.printf "\nDone.\n")
 
-(* Load a JSON report or die with a message naming the file and the
-   producer to rerun — a missing or half-written report must be an
-   ordinary error, not a backtrace. *)
-let load_json_or_die ~producer path =
-  match Report.Json.of_file path with
-  | Ok doc -> doc
-  | Error m ->
-    Printf.eprintf "error: %s (regenerate with %s)\n" m producer;
-    exit 1
-
 (* bench-summary failures as data: a missing file or a missing section
    is an ordinary, printable error — never a backtrace *)
 type summary_error =
@@ -276,7 +266,7 @@ let pp_summary_error ppf = function
   | Summary_missing_section { path; section } ->
     Format.fprintf ppf
       "%s has no %S section (regenerate with `dune build @bench`, or check \
-       the section name against the ksplice-bench/1 schema)"
+       the section name against the ksplice-bench/2 schema)"
       path section
 
 let cmd_bench_summary path only =
@@ -383,21 +373,6 @@ let cmd_bench_summary path only =
           | _ -> "?")
          (istr st "diff_bytes_saved")
          (istr st "skipped_symbols"));
-    (match J.member "differencing" doc with
-     | None | Some J.Null -> ()
-     | Some df ->
-       Printf.printf
-         "differencing:         %s rows — %s/%s update bytes, %s/%s \
-          run-pre trials (minimal/whole-unit); %s closure, %s \
-          data-referent, %s data-init refusal demo(s); %s violation(s), \
-          ok=%s\n"
-         (istr df "rows") (istr df "bytes_min") (istr df "bytes_whole")
-         (istr df "trials_min") (istr df "trials_whole")
-         (istr df "closure_demos") (istr df "dataref_demos")
-         (istr df "persist_rejects") (istr df "violations")
-         (match J.member "ok" df with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?"));
     (match J.member "trace" doc with
      | None | Some J.Null -> ()
      | Some tr ->
@@ -417,63 +392,13 @@ let cmd_bench_summary path only =
          (istr tr "cves") (fstr "untraced_wall_s") (fstr "traced_wall_s")
          (fstr "overhead") (fstr "budget") (bstr "within_budget")
          (bstr "identical") (istr tr "records"));
-    (match J.member "crash_recovery" doc with
-     | None | Some J.Null -> ()
-     | Some cr ->
-       let fstr k =
-         match field cr k J.to_float with
-         | Some f -> Printf.sprintf "%.3f" f
-         | None -> "?"
-       in
-       Printf.printf
-         "crash recovery:       %s CVEs, %s crash points — %s whole, %s \
-          absent, %s violation(s); gc swept %s blob(s) / %s bytes; \
-          recover %s s, ok=%s\n"
-         (istr cr "cves") (istr cr "cells") (istr cr "published")
-         (istr cr "absent") (istr cr "violations") (istr cr "gc_swept")
-         (istr cr "gc_reclaimed_bytes") (fstr "recovery_s")
-         (match J.member "ok" cr with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?"));
-    (match J.member "transition" doc with
-     | None | Some J.Null -> ()
-     | Some tn ->
-       let fstr k =
-         match field tn k J.to_float with
-         | Some f -> Printf.sprintf "%.5f" f
-         | None -> "?"
-       in
-       let bstr k =
-         match J.member k tn with
-         | Some (J.Bool b) -> string_of_bool b
-         | _ -> "?"
-       in
-       Printf.printf
-         "transition:           %s CVEs, %s threads — dip %s vs \
-          stop_machine %s (below=%s), %s pauseless row(s), %s fallback(s), \
-          %s violation(s), footprints identical=%s\n"
-         (istr tn "cves") (istr tn "threads") (fstr "dip")
-         (fstr "baseline_dip")
-         (bstr "dip_below_baseline")
-         (istr tn "pauseless_rows")
-         (istr tn "straggler_fallbacks")
-         (istr tn "violations")
-         (bstr "footprints_identical");
-       (match field tn "migrated_by_class" (fun j ->
-            match j with J.Obj kvs -> Some kvs | _ -> None)
-        with
-        | None | Some [] -> ()
-        | Some kvs ->
-          Printf.printf "  migrated by class:  %s\n"
-            (String.concat ", "
-               (List.filter_map
-                  (fun (k, v) ->
-                    Option.map
-                      (fun n -> Printf.sprintf "%s=%d" k n)
-                      (J.to_int v))
-                  kvs)));
-       (* pause percentiles: the histogram the paper's §5.2 pause cost
-          collapses into. Nearest-rank over the recorded pauses. *)
+    (* one generic printer for every sweep entry: totals as counters,
+       scalar figures as they are, numeric lists as percentiles, numeric
+       objects as key=value lists *)
+    (match field doc "sweeps" J.to_list with
+     | None | Some [] -> ()
+     | Some entries ->
+       Printf.printf "sweeps:\n";
        let percentile sorted p =
          let n = Array.length sorted in
          if n = 0 then 0
@@ -481,28 +406,44 @@ let cmd_bench_summary path only =
            sorted.(min (n - 1)
                      (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1))
        in
-       let pauses_of k =
-         match field tn k J.to_list with
-         | None -> [||]
-         | Some l ->
-           let a = Array.of_list (List.filter_map J.to_int l) in
-           Array.sort compare a;
-           a
+       let ints = function
+         | J.Obj kvs ->
+           Some
+             (List.filter_map
+                (fun (k, v) -> Option.map (fun n -> (k, n)) (J.to_int v))
+                kvs)
+         | _ -> None
+       in
+       let kv_line kvs =
+         String.concat " "
+           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) kvs)
        in
        List.iter
-         (fun (label, key) ->
-           let a = pauses_of key in
-           if Array.length a > 0 then
-             Printf.printf
-               "  pause %-18s p50 %8d ns   p99 %8d ns   max %8d ns\n" label
-               (percentile a 50.0) (percentile a 99.0)
-               (percentile a 100.0))
-         [
-           ("(per-thread)", "pauses_ns");
-           ("(undo)", "undo_pauses_ns");
-           ("(stop_machine)", "baseline_pauses_ns");
-           ("(straggler)", "straggler_pauses_ns");
-         ]);
+         (fun e ->
+           Printf.printf "  %-11s ok=%s %s\n" (str e "name")
+             (match J.member "ok" e with
+              | Some (J.Bool b) -> string_of_bool b
+              | _ -> "?")
+             (kv_line (Option.value ~default:[] (field e "totals" ints)));
+           List.iter
+             (fun (k, v) ->
+               match v with
+               | J.Num f -> Printf.printf "    %-20s %g\n" k f
+               | J.Bool b -> Printf.printf "    %-20s %b\n" k b
+               | J.Arr l ->
+                 let a = Array.of_list (List.filter_map J.to_int l) in
+                 Array.sort compare a;
+                 Printf.printf "    %-20s p50 %d  p99 %d  max %d\n" k
+                   (percentile a 50.0) (percentile a 99.0)
+                   (percentile a 100.0)
+               | J.Obj _ ->
+                 Printf.printf "    %-20s %s\n" k
+                   (kv_line (Option.value ~default:[] (ints v)))
+               | _ -> ())
+             (match J.member "figures" e with
+              | Some (J.Obj kvs) -> kvs
+              | _ -> []))
+         entries);
     (match J.member "fleet" doc with
      | None | Some J.Null -> ()
      | Some fl ->
@@ -557,253 +498,47 @@ let cmd_bench_summary path only =
             rows));
     Ok ()
 
-let cmd_fault_sweep cve_ids seed jobs =
-  (* every cell intentionally aborts an apply; the per-abort warnings are
+(* --- the corpus sweeps: sweep / sweep-report ---
+
+   Both exit 1 when a report holds violations and 2 on bad input: an
+   unknown sweep or row, an unreadable or malformed report. *)
+
+let sweep_input_error fmt =
+  Format.kasprintf (fun m -> prerr_endline ("error: " ^ m); exit 2) fmt
+
+let cmd_sweep name keys seed jobs out =
+  (* faulted cells abort applies on purpose; the per-abort warnings are
      noise here (use -v to see them) *)
   if Logs.level () = Some Logs.Warning then Logs.set_level (Some Logs.Error);
-  let cves =
-    match cve_ids with
-    | [] -> Corpus.Cve.all
-    | ids ->
-      List.map
-        (fun id ->
-          match Corpus.Cve.find id with
-          | Some c -> c
-          | None ->
-            Printf.eprintf "error: unknown CVE %s (try list-cves)\n" id;
-            exit 1)
-        ids
-  in
-  Printf.printf
-    "injecting the canonical fault at each apply step for %d CVE(s), \
-     seed %d...\n%!"
-    (List.length cves) seed;
-  let report =
-    Corpus.Sweep.run ~seed ~cves ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_matrix report;
-  if not (Corpus.Sweep.ok report) then exit 1
+  match
+    Result.bind (Corpus.Sweep.find name) (fun (sw : Corpus.Sweep.t) ->
+        Printf.printf "sweep %s, seed %d: %s\n%!" sw.name seed sw.doc;
+        Corpus.Sweep.run ~seed ~keys ?domains:jobs
+          ~progress:(fun line -> Printf.printf "  %s\n%!" line)
+          sw)
+  with
+  | Error e -> sweep_input_error "%a" Corpus.Sweep.pp_error e
+  | Ok report ->
+    Format.printf "@.%a%!" Corpus.Sweep.pp report;
+    Option.iter
+      (fun path ->
+        match Report.Json.to_file path (Corpus.Sweep.to_json report) with
+        | Ok () -> Printf.printf "report written to %s\n" path
+        | Error m -> sweep_input_error "cannot write %s: %s" path m)
+      out;
+    if not (Corpus.Sweep.ok report) then exit 1
 
-let cmd_crash_sweep cve_ids seed jobs =
-  let cves =
-    match cve_ids with
-    | [] -> Corpus.Sweep.crash_sample ()
-    | ids ->
-      List.map
-        (fun id ->
-          match Corpus.Cve.find id with
-          | Some c -> c
-          | None ->
-            Printf.eprintf "error: unknown CVE %s (try list-cves)\n" id;
-            exit 1)
-        ids
-  in
-  Printf.printf
-    "crashing a publish at every mutating I/O op for %d CVE(s), seed %d...\n%!"
-    (List.length cves) seed;
-  let report =
-    Corpus.Sweep.run_crash ~seed ~cves ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_crash report;
-  if not (Corpus.Sweep.crash_ok report) then exit 1
-
-let cmd_transition_sweep cve_ids jobs =
-  let cves =
-    match cve_ids with
-    | [] -> Corpus.Sweep.transition_sample ()
-    | ids ->
-      List.map
-        (fun id ->
-          match Corpus.Cve.find id with
-          | Some c -> c
-          | None ->
-            Printf.eprintf "error: unknown CVE %s (try list-cves)\n" id;
-            exit 1)
-        ids
-  in
-  Printf.printf
-    "applying %d CVE(s) mid-flight through the per-thread engagement, \
-     against a stop_machine twin...\n%!"
-    (List.length cves);
-  let report =
-    Corpus.Sweep.run_transition ~cves ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_transition report;
-  if not (Corpus.Sweep.transition_ok report) then exit 1
-
-(* --- the supervised sweep: manager-run / manager-report --- *)
-
-let resolve_cves = function
-  | [] -> Corpus.Cve.all
-  | ids ->
-    List.map
-      (fun id ->
-        match Corpus.Cve.find id with
-        | Some c -> c
-        | None ->
-          Printf.eprintf "error: unknown CVE %s (try list-cves)\n" id;
-          exit 1)
-      ids
-
-let resolve_scenarios = function
-  | [] -> Corpus.Sweep.all_scenarios
-  | names ->
-    List.map
-      (fun n ->
-        match
-          List.find_opt
-            (fun s -> String.equal (Corpus.Sweep.scenario_name s) n)
-            Corpus.Sweep.all_scenarios
-        with
-        | Some s -> s
-        | None ->
-          Printf.eprintf
-            "error: unknown scenario %s (injected, adversarial, unhealthy)\n"
-            n;
-          exit 1)
-      names
-
-let manager_sweep_json ~seed (r : Corpus.Sweep.mreport) =
-  let module J = Report.Json in
-  let num n = J.Num (float_of_int n) in
-  J.Obj
-    [
-      ("schema", J.Str "ksplice-manager-sweep/1");
-      ("seed", num seed);
-      ("cells", num r.m_cells_total);
-      ("healthy", num r.m_healthy);
-      ("parked", num r.m_parked);
-      ("quarantined", num r.m_quarantined);
-      ("violations", num r.m_violations);
-      ("failures", num r.m_failures);
-      ( "rows",
-        J.Arr
-          (List.map
-             (fun (row : Corpus.Sweep.mrow) ->
-               J.Obj
-                 [
-                   ("cve", J.Str row.m_cve);
-                   ( "cells",
-                     J.Arr
-                       (List.map
-                          (fun (sc, (c : Corpus.Sweep.mcell)) ->
-                            J.Obj
-                              [
-                                ( "scenario",
-                                  J.Str (Corpus.Sweep.scenario_name sc) );
-                                ( "status",
-                                  J.Str (Manager.status_name c.mc_status) );
-                                ("attempts", num c.mc_attempts);
-                                ("clock", num c.mc_clock);
-                                ("events", num c.mc_events);
-                                ("violations", num c.mc_violations);
-                                ( "notes",
-                                  J.Arr
-                                    (List.map (fun n -> J.Str n) c.mc_notes)
-                                );
-                                ("manager", c.mc_report);
-                              ])
-                          row.m_cells) );
-                 ])
-             r.m_rows) );
-    ]
-
-let cmd_manager_run cve_ids scenario_names seed jobs out =
-  if Logs.level () = Some Logs.Warning then Logs.set_level (Some Logs.Error);
-  let cves = resolve_cves cve_ids in
-  let scenarios = resolve_scenarios scenario_names in
-  Printf.printf
-    "supervising %d CVE(s) x {%s}, seed %d...\n%!" (List.length cves)
-    (String.concat ", " (List.map Corpus.Sweep.scenario_name scenarios))
-    seed;
-  let report =
-    Corpus.Sweep.run_manager ~seed ~cves ~scenarios ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_manager report;
-  (match out with
-   | None -> ()
-   | Some path -> (
-     match Report.Json.to_file path (manager_sweep_json ~seed report) with
-     | Ok () -> Printf.printf "event log written to %s\n" path
-     | Error m ->
-       Printf.eprintf "error: cannot write %s: %s\n" path m;
-       exit 1));
-  if not (Corpus.Sweep.manager_ok report) then exit 1
-
-let cmd_manager_report path =
-  let module J = Report.Json in
-  let doc =
-    load_json_or_die ~producer:"ksplice-tool manager-run --out" path
-  in
-  let field obj k conv = Option.bind (J.member k obj) conv in
-  (match field doc "schema" J.to_str with
-   | Some "ksplice-manager-sweep/1" -> ()
-   | Some other ->
-     Printf.eprintf "error: %s: unexpected schema %s\n" path other;
-     exit 1
-   | None ->
-     Printf.eprintf "error: %s: not a manager sweep report (no schema)\n"
-       path;
-     exit 1);
-  let istr k =
-    match field doc k J.to_int with Some n -> string_of_int n | None -> "?"
-  in
-  Printf.printf
-    "manager sweep (seed %s): %s cells — %s healthy, %s parked, %s \
-     quarantined; %s audit violations, %s contract failures\n"
-    (istr "seed") (istr "cells") (istr "healthy") (istr "parked")
-    (istr "quarantined") (istr "violations") (istr "failures");
-  (match field doc "rows" J.to_list with
-   | None ->
-     Printf.eprintf "error: %s: no rows\n" path;
-     exit 1
-   | Some rows ->
-     List.iter
-       (fun row ->
-         let cve =
-           Option.value ~default:"?" (field row "cve" J.to_str)
-         in
-         let cells = Option.value ~default:[] (field row "cells" J.to_list) in
-         Printf.printf "  %-16s %s\n" cve
-           (String.concat "  "
-              (List.map
-                 (fun c ->
-                   Printf.sprintf "%s:%s a=%s"
-                     (Option.value ~default:"?"
-                        (field c "scenario" J.to_str))
-                     (Option.value ~default:"?" (field c "status" J.to_str))
-                     (match field c "attempts" J.to_int with
-                      | Some n -> string_of_int n
-                      | None -> "?"))
-                 cells));
-         List.iter
-           (fun c ->
-             match field c "notes" J.to_list with
-             | Some (_ :: _ as notes) ->
-               List.iter
-                 (fun n ->
-                   match J.to_str n with
-                   | Some s -> Printf.printf "    FAILURE: %s\n" s
-                   | None -> ())
-                 notes
-             | _ -> ())
-           cells)
-       rows);
-  match (field doc "violations" J.to_int, field doc "failures" J.to_int) with
-  | Some 0, Some 0 -> ()
-  | _ -> exit 1
+let cmd_sweep_report path =
+  match Report.Json.of_file path with
+  | Error m -> sweep_input_error "%s" m
+  | Ok doc -> (
+    match Corpus.Sweep.of_json doc with
+    | Error m ->
+      sweep_input_error "%s: not a sweep report: %s (regenerate with \
+                         ksplice-tool sweep NAME --out %s)" path m path
+    | Ok report ->
+      Format.printf "%a%!" Corpus.Sweep.pp report;
+      if not (Corpus.Sweep.ok report) then exit 1)
 
 (* --- structured tracing: trace / metrics --- *)
 
@@ -1108,34 +843,7 @@ let cmd_sync socket dir base =
     exit 1
   end
 
-let cmd_fleet_sweep cve_ids seed jobs =
-  let cves =
-    match cve_ids with
-    | [] -> Corpus.Sweep.fleet_sample ()
-    | ids ->
-      List.map
-        (fun id ->
-          match Corpus.Cve.find id with
-          | Some c -> c
-          | None ->
-            Printf.eprintf "error: unknown CVE %s (try list-cves)\n" id;
-            exit 1)
-        ids
-  in
-  Printf.printf
-    "injecting every transport fault at every wire frame of a chain sync \
-     for %d CVE(s), seed %d...\n%!"
-    (List.length cves) seed;
-  let report =
-    Corpus.Sweep.run_fleet ~seed ~cves ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_fleet report;
-  if not (Corpus.Sweep.fleet_ok report) then exit 1
-
-(* --- cumulative updates: collapse / cumulative-sweep --- *)
+(* --- cumulative updates: collapse --- *)
 
 let cmd_collapse dir source id desc =
   match Repo.open_dir dir with
@@ -1163,53 +871,6 @@ let cmd_collapse dir source id desc =
       Printf.printf
         "the per-update chain stays published for mid-chain subscribers\n")
 
-let cmd_cumulative_sweep depths seed jobs =
-  (* every fault cell intentionally aborts a collapse; the per-abort
-     warnings are noise here (use -v to see them) *)
-  if Logs.level () = Some Logs.Warning then Logs.set_level (Some Logs.Error);
-  let depths =
-    match depths with [] -> Corpus.Sweep.cumulative_depths | ds -> ds
-  in
-  Printf.printf
-    "collapsing corpus chains at depth(s) %s with a fault at every apply \
-     step, seed %d...\n%!"
-    (String.concat ", " (List.map string_of_int depths))
-    seed;
-  let report =
-    Corpus.Sweep.run_cumulative ~seed ~depths ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_cumulative report;
-  if not (Corpus.Sweep.cumulative_ok report) then exit 1
-
-let cmd_diffmin_sweep cve_ids jobs =
-  let cves =
-    match cve_ids with
-    | [] -> Corpus.Sweep.diffmin_cves ()
-    | ids ->
-      List.map
-        (fun id ->
-          match Corpus.Cve.find id with
-          | Some c -> c
-          | None ->
-            Printf.eprintf "error: unknown CVE %s\n" id;
-            exit 2)
-        ids
-  in
-  Printf.printf
-    "differencing %d corpus row(s), minimal vs whole-unit...\n%!"
-    (List.length cves);
-  let report =
-    Corpus.Sweep.run_diffmin ~cves ?domains:jobs
-      ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-      ()
-  in
-  print_newline ();
-  Format.printf "%a@." Corpus.Sweep.pp_diffmin report;
-  if not (Corpus.Sweep.diffmin_ok report) then exit 1
-
 (* --- cmdliner wiring --- *)
 
 open Cmdliner
@@ -1220,6 +881,11 @@ let setup_logs verbose =
 
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
+
+let sweep_exits =
+  Cmd.Exit.info 1 ~doc:"the report holds violations."
+  :: Cmd.Exit.info 2 ~doc:"an unknown sweep or row, or an unreadable report."
+  :: Cmd.Exit.defaults
 
 let create_cmd =
   let source =
@@ -1313,99 +979,6 @@ let demo_cmd =
     Term.(
       const (fun v c -> setup_logs v; cmd_demo c) $ verbose_t $ cve)
 
-let fault_sweep_cmd =
-  let cves =
-    Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:"Sweep only this CVE (repeatable; default: all 64).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N" ~doc:"Fault-plan seed.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) CVEs concurrently (default: one per core; \
-             1 forces a serial sweep).")
-  in
-  Cmd.v
-    (Cmd.info "fault-sweep"
-       ~doc:
-         "Inject a fault at every apply-pipeline step for each corpus CVE \
-          and verify crash-consistent rollback, then clean re-apply")
-    Term.(
-      const (fun v c s j -> setup_logs v; cmd_fault_sweep c s j)
-      $ verbose_t $ cves $ seed $ jobs)
-
-let manager_run_cmd =
-  let cves =
-    Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:"Supervise only this CVE (repeatable; default: all 64).")
-  in
-  let scenarios =
-    Arg.(
-      value & opt_all string []
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Run only this scenario: $(b,injected) (a fault on the first \
-             attempt), $(b,adversarial) (a thread squatting in a patched \
-             function), or $(b,unhealthy) (a failing health probe). \
-             Repeatable; default: all three.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Sweep seed (fault plans, retry jitter).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) CVEs concurrently (default: one per core; \
-             1 forces a serial sweep).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the structured event log (JSON) to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "manager-run"
-       ~doc:
-         "Push corpus CVEs through the supervised update manager \
-          (watchdog deadlines, retry queue, health-gated auto-revert) \
-          under fault injection and adversarial scheduling, asserting \
-          liveness and byte-identical rollbacks")
-    Term.(
-      const (fun v c sc s j o -> setup_logs v; cmd_manager_run c sc s j o)
-      $ verbose_t $ cves $ scenarios $ seed $ jobs $ out)
-
-let manager_report_cmd =
-  let path =
-    Arg.(
-      value & pos 0 string "MANAGER.json"
-      & info [] ~docv:"FILE"
-          ~doc:"Event log written by manager-run --out.")
-  in
-  Cmd.v
-    (Cmd.info "manager-report"
-       ~doc:"Summarize a manager-run event log; nonzero exit on recorded \
-             violations or contract failures")
-    Term.(const cmd_manager_report $ path)
-
 let trace_cve_t =
   Arg.(
     value & opt string "CVE-2006-2451"
@@ -1476,70 +1049,6 @@ let store_stats_cmd =
     Term.(
       const (fun v c o -> setup_logs v; cmd_store_stats c o)
       $ verbose_t $ trace_cve_t $ trace_out_t)
-
-let crash_sweep_cmd =
-  let cves =
-    Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:
-            "Sweep only this CVE (repeatable; default: every 8th corpus \
-             CVE).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N" ~doc:"Torn-write seed.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) CVEs concurrently (default: one per core; \
-             1 forces a serial sweep).")
-  in
-  Cmd.v
-    (Cmd.info "crash-sweep"
-       ~doc:
-         "Publish each sampled CVE into an on-disk repository with a hard \
-          crash injected at every mutating I/O operation, then reopen and \
-          verify fsck-clean all-or-nothing recovery and a safe garbage \
-          collection")
-    Term.(
-      const (fun v c s j -> setup_logs v; cmd_crash_sweep c s j)
-      $ verbose_t $ cves $ seed $ jobs)
-
-let transition_sweep_cmd =
-  let cves =
-    Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:
-            "Sweep only this CVE (repeatable; default: every 8th corpus \
-             CVE).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) CVEs concurrently (default: one per core; \
-             1 forces a serial sweep).")
-  in
-  Cmd.v
-    (Cmd.info "transition-sweep"
-       ~doc:
-         "Apply each sampled CVE while a multi-threaded workload is \
-          running, through the per-thread consistency model, and hold it \
-          to the stop_machine baseline: zero pause, byte-identical \
-          footprints, a converging reverse transition, and a bounded \
-          fallback for forced stragglers")
-    Term.(
-      const (fun v c j -> setup_logs v; cmd_transition_sweep c j)
-      $ verbose_t $ cves $ jobs)
 
 let repo_dir_t =
   Arg.(
@@ -1625,41 +1134,6 @@ let sync_cmd =
       const (fun v s d b -> setup_logs v; cmd_sync s d b)
       $ verbose_t $ socket $ dir $ base)
 
-let fleet_sweep_cmd =
-  let cves =
-    Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:
-            "Sweep only this CVE (repeatable; default: every 8th corpus \
-             CVE).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N" ~doc:"Fault-plan and jitter seed.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) CVEs concurrently (default: one per core; \
-             1 forces a serial sweep).")
-  in
-  Cmd.v
-    (Cmd.info "fleet-sweep"
-       ~doc:
-         "Sync a published chain through the simulated wire transport with \
-          every fault kind (disconnect, torn frame, corruption, stall, \
-          duplication) injected at every frame, and verify the subscriber \
-          converges byte-identically with a fsck-clean mirror and zero \
-          redundant transfers")
-    Term.(
-      const (fun v c s j -> setup_logs v; cmd_fleet_sweep c s j)
-      $ verbose_t $ cves $ seed $ jobs)
-
 let collapse_cmd =
   let dir =
     Arg.(
@@ -1696,19 +1170,34 @@ let collapse_cmd =
       const (fun v d s i m -> setup_logs v; cmd_collapse d s i m)
       $ verbose_t $ dir $ source $ id $ desc)
 
-let cumulative_sweep_cmd =
-  let depths =
+let sweep_cmd =
+  let sweep_name =
     Arg.(
-      value & opt_all int []
-      & info [ "depth" ] ~docv:"N"
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"NAME"
           ~doc:
-            "Collapse a chain of $(docv) corpus CVEs (repeatable; default: \
-             1, 8 and 32).")
+            ("The sweep to run: "
+            ^ String.concat ", "
+                (List.map (fun (sw : Corpus.Sweep.t) -> sw.name)
+                   Corpus.Sweep.all)
+            ^ "."))
+  in
+  let rows =
+    Arg.(
+      value & opt_all string []
+      & info [ "row"; "cve"; "depth" ] ~docv:"KEY"
+          ~doc:
+            "Run only this row (repeatable): a corpus CVE id, or for \
+             $(b,cumulative) a chain depth or a shadow-extra id. Default: \
+             the sweep's own sample. $(b,--cve) and $(b,--depth) are \
+             older spellings.")
   in
   let seed =
     Arg.(
       value & opt int 0
-      & info [ "seed" ] ~docv:"N" ~doc:"Fault-plan seed.")
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"Sweep seed (fault plans, torn writes, retry jitter).")
   in
   let jobs =
     Arg.(
@@ -1716,51 +1205,42 @@ let cumulative_sweep_cmd =
       & opt (some int) None
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:
-            "Sweep up to $(docv) rows concurrently (default: one per core; \
+            "Run up to $(docv) rows concurrently (default: one per core; \
              1 forces a serial sweep).")
   in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"FILE"
+          ~doc:
+            "Write the report (ksplice-sweep/1 JSON, with the manager \
+             event logs) to $(docv); read it back with $(b,sweep-report).")
+  in
   Cmd.v
-    (Cmd.info "cumulative-sweep"
-       ~doc:
-         "Publish corpus CVE chains at several depths, collapse each into \
-          a cumulative update, and verify atomic replace end to end: \
-          footprints byte-identical to the undo-then-apply twin, every \
-          injected fault rolling back the whole collapse, undo re-stacking \
-          the chain, and the shadow-variable extras (\u{00a7}5.3) \
-          round-tripping patch, exploit and un-collapse")
+    (Cmd.info "sweep" ~exits:sweep_exits
+       ~doc:"Run one corpus robustness sweep and check every contract"
+       ~man:
+         (`S Manpage.s_description
+         :: List.map
+              (fun (sw : Corpus.Sweep.t) ->
+                `I (Printf.sprintf "$(b,%s)" sw.name, sw.doc))
+              Corpus.Sweep.all))
     Term.(
-      const (fun v d s j -> setup_logs v; cmd_cumulative_sweep d s j)
-      $ verbose_t $ depths $ seed $ jobs)
+      const (fun v n r s j o -> setup_logs v; cmd_sweep n r s j o)
+      $ verbose_t $ sweep_name $ rows $ seed $ jobs $ out)
 
-let diffmin_sweep_cmd =
-  let cves =
+let sweep_report_cmd =
+  let path =
     Arg.(
-      value & opt_all string []
-      & info [ "cve" ] ~docv:"ID"
-          ~doc:
-            "Sweep only this corpus row (repeatable; default: all 64 CVEs \
-             plus the shadow and differencing extras).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Sweep up to $(docv) rows concurrently (default: one per core; \
-             1 forces a serial sweep).")
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE" ~doc:"Report written by sweep --out.")
   in
   Cmd.v
-    (Cmd.info "diffmin-sweep"
-       ~doc:
-         "Create every corpus update twice — function-granular minimal and \
-          whole-unit baseline — and verify the minimal one is complete \
-          (applies, verifies, survives stress, blocks the exploit, lands \
-          a deterministic footprint, every shipped symbol explained) \
-          while costing fewer update bytes and run-pre candidate trials")
-    Term.(
-      const (fun v c j -> setup_logs v; cmd_diffmin_sweep c j)
-      $ verbose_t $ cves $ jobs)
+    (Cmd.info "sweep-report" ~exits:sweep_exits
+       ~doc:"Print a saved sweep report and check its verdict")
+    Term.(const cmd_sweep_report $ path)
 
 let bench_summary_cmd =
   let path =
@@ -1797,9 +1277,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ create_cmd; inspect_cmd; objdump_cmd; export_cmd; list_cves_cmd;
-            demo_cmd; fault_sweep_cmd; crash_sweep_cmd; transition_sweep_cmd;
-            fleet_sweep_cmd; cumulative_sweep_cmd; diffmin_sweep_cmd;
-            collapse_cmd; serve_cmd;
-            sync_cmd; fsck_cmd; gc_cmd;
-            manager_run_cmd; manager_report_cmd; trace_cmd; metrics_cmd;
+            demo_cmd; sweep_cmd; sweep_report_cmd; collapse_cmd; serve_cmd;
+            sync_cmd; fsck_cmd; gc_cmd; trace_cmd; metrics_cmd;
             store_stats_cmd; bench_summary_cmd ]))

@@ -51,6 +51,12 @@ let is_source path =
 
 let empty_obj unit_name = Objfile.make ~unit_name ~sections:[] ~symbols:[]
 
+(* a unit's object in a build; a unit the build lacks is empty *)
+let unit_obj build unit_name =
+  match Kbuild.find_unit build unit_name with
+  | Some u -> u.Kbuild.obj
+  | None -> empty_obj unit_name
+
 (* --- incremental differencing through the artifact store ---
 
    Pre and post unit objects are interned by digest; a unit whose pre and
@@ -135,15 +141,20 @@ let alias_of (d : Prepost.unit_diff) name =
       name ^ ".post"
     else name
 
-let note_sections (post : Objfile.t) =
+(* the hook notes the patch adds or changes: a note the pre unit already
+   carries byte-for-byte belongs to an earlier update, whose hooks have
+   already run and whose hook functions are already live *)
+let note_sections ~(pre : Objfile.t) (post : Objfile.t) =
   List.filter
     (fun (s : Section.t) ->
-      s.kind = Section.Note && String.starts_with ~prefix:".ksplice." s.name)
+      s.kind = Section.Note
+      && String.starts_with ~prefix:".ksplice." s.name
+      && Objfile.find_section pre s.name <> Some s)
     post.sections
 
 (* (section, defining symbols) pairs to ship, post names, in a stable
    order; rodata slices become their own single-symbol sections *)
-let carve_minimal (post : Objfile.t) (d : Prepost.unit_diff) =
+let carve_minimal ~pre (post : Objfile.t) (d : Prepost.unit_diff) =
   let out = ref [] in
   let shipped_sections = Hashtbl.create 8 in
   List.iter
@@ -177,10 +188,11 @@ let carve_minimal (post : Objfile.t) (d : Prepost.unit_diff) =
               out := (sec, Objfile.defined_symbols_in post sec.name) :: !out
             end)))
     d.inclusion;
-  List.iter (fun s -> out := (s, []) :: !out) (note_sections post);
+  List.iter (fun s -> out := (s, []) :: !out) (note_sections ~pre post);
   List.rev !out
 
-let carve_whole (post : Objfile.t) (d : Prepost.unit_diff) =
+let carve_whole ~pre (post : Objfile.t) (d : Prepost.unit_diff) =
+  let notes = note_sections ~pre post in
   let ship (s : Section.t) =
     match s.kind with
     | Section.Text | Section.Rodata -> true
@@ -188,7 +200,7 @@ let carve_whole (post : Objfile.t) (d : Prepost.unit_diff) =
       match Prepost.dataname_of_section s with
       | Some n -> List.mem n d.new_data
       | None -> false)
-    | Section.Note -> String.starts_with ~prefix:".ksplice." s.name
+    | Section.Note -> List.memq s notes
   in
   List.filter_map
     (fun (s : Section.t) ->
@@ -343,17 +355,9 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
             Trace.with_span "create.unit"
               ~fields:[ ("unit", Trace.Str unit_name) ]
             @@ fun () ->
-            let pre =
-              match Kbuild.find_unit pre_build unit_name with
-              | Some u -> u.obj
-              | None -> empty_obj unit_name
-            in
-            let post =
-              match Kbuild.find_unit post_build unit_name with
-              | Some u -> u.obj
-              | None -> empty_obj unit_name
-            in
-            diff_unit_incremental store ~unit_name ~pre ~post)
+            diff_unit_incremental store ~unit_name
+              ~pre:(unit_obj pre_build unit_name)
+              ~post:(unit_obj post_build unit_name))
           patched_units
       in
       if List.for_all Prepost.is_empty diffs then Error No_object_changes
@@ -391,8 +395,10 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
             | None -> ()
             | Some u ->
               let post = u.obj in
+              let pre = unit_obj pre_build unit_name in
               let carved =
-                if minimal then carve_minimal post d else carve_whole post d
+                if minimal then carve_minimal ~pre post d
+                else carve_whole ~pre post d
               in
               (* every local symbol of the unit is canonicalised, whether
                  its definition is included (it will be defined by the

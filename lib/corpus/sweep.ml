@@ -3,35 +3,197 @@ module Txn = Ksplice.Txn
 module Faultinj = Ksplice.Faultinj
 module Apply = Ksplice.Apply
 module Create = Ksplice.Create
+module Repo = Ksplice.Repository
+module Tree = Patchfmt.Source_tree
+module Diff = Patchfmt.Diff
+module Json = Report.Json
 
-type cell =
-  | Rolled_back
-  | Benign
-  | Not_applicable
-  | Violation of string list
-
-let cell_char = function
-  | Rolled_back -> 'R'
-  | Benign -> 'B'
-  | Not_applicable -> '-'
-  | Violation _ -> '!'
+(* ---------- the engine ---------- *)
 
 type row = {
-  cve_id : string;
-  cells : (Txn.step * cell) list;
-  recovered : bool;
+  key : string;
+  cells : string;
+  counters : (string * int) list;
   notes : string list;
+  detail : Json.t;
+}
+
+type totals = (string * int) list
+
+type error =
+  | Unknown_sweep of string
+  | Unknown_row of { sweep : string; key : string; expected : string }
+
+type t = {
+  name : string;
+  doc : string;
+  rows : seed:int -> string list -> ((unit -> row) list, error) result;
+  check : totals -> string list;
 }
 
 type report = {
+  sweep : string;
+  seed : int;
   rows : row list;
-  total_cells : int;
-  rolled_back : int;
-  benign : int;
-  not_applicable : int;
-  violations : int;
-  recovery_failures : int;
+  totals : totals;
+  failures : string list;
 }
+
+let row ?(cells = "") ?(detail = Json.Null) key counters notes =
+  { key; cells; counters; notes; detail }
+
+(* counter sums in first-appearance order *)
+let sum_counters rows =
+  List.fold_left
+    (fun acc r ->
+      List.fold_left
+        (fun acc (k, v) ->
+          if List.mem_assoc k acc then
+            List.map (fun (k', s) -> (k', if k' = k then s + v else s)) acc
+          else acc @ [ (k, v) ])
+        acc r.counters)
+    [] rows
+
+(* [List.map] for a function that may fail: the first [Error] wins *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs ->
+    Result.bind (f x) (fun y -> Result.map (List.cons y) (map_ok f xs))
+
+let get (t : totals) k = Option.value ~default:0 (List.assoc_opt k t)
+let total r k = get r.totals k
+let ok r = r.failures = [] && List.for_all (fun row -> row.notes = []) r.rows
+
+let pp_counters kvs =
+  String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
+
+let row_line r =
+  Printf.sprintf "%-16s %s%s%s" r.key
+    (if r.cells = "" then "" else r.cells ^ "  ")
+    (pp_counters r.counters)
+    (if r.notes = [] then "" else "  VIOLATION")
+
+(* rows are independent (each runs on its own fresh machines), so they
+   fan out across the domain pool; progress lines arrive in completion
+   order, serialised by a mutex, and the report keeps key order *)
+let run ?(seed = 0) ?(keys = []) ?progress ?domains (sw : t) =
+  Result.map
+    (fun thunks ->
+      let m = Mutex.create () in
+      let rows =
+        Parallel.map ?domains
+          (fun f ->
+            let r = f () in
+            Option.iter
+              (fun emit -> Mutex.protect m (fun () -> emit (row_line r)))
+              progress;
+            r)
+          thunks
+      in
+      let totals = ("rows", List.length rows) :: sum_counters rows in
+      { sweep = sw.name; seed; rows; totals; failures = sw.check totals })
+    (sw.rows ~seed keys)
+
+let pp ppf r =
+  let violations =
+    List.fold_left
+      (fun a row -> a + List.length row.notes)
+      (List.length r.failures) r.rows
+  in
+  Format.fprintf ppf "%s sweep, seed %d@\n@\n" r.sweep r.seed;
+  List.iter (fun row -> Format.fprintf ppf "%s@\n" (row_line row)) r.rows;
+  Format.fprintf ppf "@\ntotals: %s violations=%d@\n" (pp_counters r.totals)
+    violations;
+  List.iter
+    (fun row ->
+      List.iter
+        (fun n -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.key n)
+        row.notes)
+    r.rows;
+  List.iter
+    (fun f -> Format.fprintf ppf "VIOLATION %s sweep: %s@\n" r.sweep f)
+    r.failures;
+  Format.fprintf ppf "%s@\n"
+    (if ok r then "ok: every row kept every contract"
+     else Printf.sprintf "FAILED: %d violation(s)" violations)
+
+(* ---------- the ksplice-sweep/1 document ---------- *)
+
+let schema = "ksplice-sweep/1"
+
+let to_json r =
+  let num n = Json.Num (float_of_int n) in
+  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, num v)) kvs) in
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  Json.Obj
+    [
+      ("schema", Json.Str schema);
+      ("sweep", Json.Str r.sweep);
+      ("seed", num r.seed);
+      ( "rows",
+        Json.Arr
+          (List.map
+             (fun row ->
+               Json.Obj
+                 [
+                   ("key", Json.Str row.key);
+                   ("cells", Json.Str row.cells);
+                   ("counters", ints row.counters);
+                   ("notes", strs row.notes);
+                   ("detail", row.detail);
+                 ])
+             r.rows) );
+      ("totals", ints r.totals);
+      ("failures", strs r.failures);
+    ]
+
+let rec all_some f = function
+  | [] -> Some []
+  | x :: xs -> (
+    match f x with
+    | None -> None
+    | Some y -> Option.map (List.cons y) (all_some f xs))
+
+let int_fields = function
+  | Json.Obj kvs ->
+    all_some (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v)) kvs
+  | _ -> None
+
+let strings j = Option.bind (Json.to_list j) (all_some Json.to_str)
+
+let of_json doc =
+  let ( let* ) = Result.bind in
+  let field what conv obj k =
+    match Json.member k obj with
+    | None -> Error (Printf.sprintf "%s: no %S field" what k)
+    | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "%s: field %S has the wrong type" what k))
+  in
+  let* s = field "report" Json.to_str doc "schema" in
+  let* () =
+    if String.equal s schema then Ok ()
+    else Error (Printf.sprintf "schema %S, expected %S" s schema)
+  in
+  let* sweep = field "report" Json.to_str doc "sweep" in
+  let* seed = field "report" Json.to_int doc "seed" in
+  let* totals = field "report" int_fields doc "totals" in
+  let* failures = field "report" strings doc "failures" in
+  let* rows = field "report" Json.to_list doc "rows" in
+  let row_of i j =
+    let what = Printf.sprintf "row %d" i in
+    let* key = field what Json.to_str j "key" in
+    let* cells = field what Json.to_str j "cells" in
+    let* counters = field what int_fields j "counters" in
+    let* notes = field what strings j "notes" in
+    let* detail = field what Option.some j "detail" in
+    Ok { key; cells; counters; notes; detail }
+  in
+  let* rows = map_ok Fun.id (List.mapi row_of rows) in
+  Ok { sweep; seed; rows; totals; failures }
+
+(* ---------- shared cell machinery ---------- *)
 
 let err_str e = Format.asprintf "%a" Apply.pp_error e
 
@@ -46,16 +208,66 @@ let create_update (cve : Cve.t) base =
     failwith
       (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error e)
 
-(* One (cve, step) cell: snapshot, apply under injection, judge. The
-   machine is reused across cells — rollback (and undo, for cells where
-   the apply succeeded) must return it to a consistent state, which the
-   next cell's snapshot then re-baselines. *)
-let run_cell mgr cve_id update step ~seed =
+(* every 8th CVE: a deterministic sample spanning the corpus, for the
+   sweeps whose rows cost many machines each *)
+let every_8th () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
+
+(* a sweep whose rows are CVEs ([[]] = [default ()]): [f ~seed i cve
+   base] builds row [i] *)
+let cve_rows ~sweep ~default f ~seed keys =
+  let find key =
+    match Cve.find key with
+    | Some c -> Ok c
+    | None ->
+      Error
+        (Unknown_row
+           { sweep; key; expected = "a corpus CVE id (see list-cves)" })
+  in
+  Result.map
+    (fun cves ->
+      let base = Base_kernel.tree () in
+      List.mapi (fun i cve () -> f ~seed i cve base) cves)
+    (if keys = [] then Ok (default ()) else map_ok find keys)
+
+let no_check (_ : totals) = []
+
+(* Outcome of one faulted (row, step) cell. *)
+type cell =
+  | Rolled_back  (* the fault fired and the machine rolled back byte-identical *)
+  | Benign  (* a non-aborting fault fired and the apply still verified *)
+  | Not_applicable  (* the armed fault never fired *)
+  | Violation of string list
+
+let cell_char = function
+  | Rolled_back -> 'R'
+  | Benign -> 'B'
+  | Not_applicable -> '-'
+  | Violation _ -> '!'
+
+(* the cell string, the cell counts and the violations of a step row *)
+let step_cells cells =
+  let count c = List.length (List.filter (fun (_, c') -> c' = c) cells) in
+  ( String.of_seq (List.to_seq (List.map (fun (_, c) -> cell_char c) cells)),
+    [ ("rolled_back", count Rolled_back); ("benign", count Benign);
+      ("not_applicable", count Not_applicable) ],
+    List.concat_map
+      (fun (step, c) ->
+        match c with
+        | Violation msgs ->
+          List.map (Printf.sprintf "@%s: %s" (Txn.step_name step)) msgs
+        | _ -> [])
+      cells )
+
+(* One faulted apply on a machine the caller reuses: snapshot, apply
+   under injection, judge; a surviving apply is verified and undone, so
+   the next cell's snapshot re-baselines. [apply] is the plain or the
+   cumulative apply, [what] names it in the diagnostics. *)
+let faulted_cell ~apply ~what mgr update_id update step ~seed =
   let m = Apply.machine mgr in
   let snap = Machine.snapshot m in
   let plan = { Faultinj.step; kind = Faultinj.kind_for_step step; seed } in
   let session = Faultinj.make m plan in
-  let result = Apply.apply mgr ~inject:session update in
+  let result = apply mgr ~inject:session update in
   Faultinj.disarm session;
   let fired = Faultinj.fired session in
   match result with
@@ -68,33 +280,37 @@ let run_cell mgr cve_id update step ~seed =
          :: diff)
     else if not fired then
       Violation
-        [ Format.asprintf
-            "%a never fired yet apply failed: %s" Faultinj.pp_plan plan
-            (err_str e) ]
+        [ Format.asprintf "%a never fired yet %s failed: %s" Faultinj.pp_plan
+            plan what (err_str e) ]
     else Rolled_back
   | Ok _ ->
-    (* the apply went through; it must be a benign or unfired fault, and
-       the update must verify and undo cleanly for the next cell *)
     let verdict =
       if fired && Faultinj.expect_abort plan.kind then
         Violation
-          [ Format.asprintf "%a fired but apply succeeded"
-              Faultinj.pp_plan plan ]
+          [ Format.asprintf "%a fired but %s succeeded" Faultinj.pp_plan plan
+              what ]
       else
         match Apply.verify mgr with
         | Error e ->
           Violation
-            [ Format.asprintf "apply under %a did not verify: %s"
+            [ Format.asprintf "%s under %a did not verify: %s" what
                 Faultinj.pp_plan plan (err_str e) ]
         | Ok () -> if fired then Benign else Not_applicable
     in
-    (match Apply.undo mgr cve_id with
+    (match Apply.undo mgr update_id with
      | Ok () -> verdict
      | Error e -> (
        match verdict with
        | Violation msgs ->
-         Violation (msgs @ [ "and undo failed: " ^ err_str e ])
-       | _ -> Violation [ "undo after surviving apply failed: " ^ err_str e ]))
+         Violation (msgs @ [ "and its undo failed: " ^ err_str e ])
+       | _ -> Violation [ "undo after a surviving " ^ what ^ " failed: " ^ err_str e ]))
+
+(* ---------- fault: transactional apply under induced failure ---------- *)
+
+let run_cell mgr cve_id update step ~seed =
+  faulted_cell
+    ~apply:(fun mgr ~inject u -> Apply.apply mgr ~inject u)
+    ~what:"apply" mgr cve_id update step ~seed
 
 (* After the faulted cells: the CVE's hot update must still apply
    cleanly on the same machine, hold up under stress, and (where an
@@ -117,9 +333,9 @@ let check_recovery (b : Boot.booted) mgr (cve : Cve.t) update =
        let o = ex.run b in
        if o.succeeded then
          note "exploit %s still succeeds after re-apply: %s" ex.name o.detail));
-  (!notes = [], List.rev !notes)
+  List.rev !notes
 
-let sweep_cve ~seed index (cve : Cve.t) base =
+let fault_row ~seed index (cve : Cve.t) base =
   let update = create_update cve base in
   let b = Boot.boot () in
   let mgr = Apply.init b.machine in
@@ -130,104 +346,25 @@ let sweep_cve ~seed index (cve : Cve.t) base =
         (step, run_cell mgr cve.id update step ~seed:cell_seed))
       Txn.all_steps
   in
-  let recovered, notes = check_recovery b mgr cve update in
-  { cve_id = cve.id; cells; recovered; notes }
+  let recovery = check_recovery b mgr cve update in
+  let chars, counters, notes = step_cells cells in
+  row ~cells:chars cve.id
+    (counters @ [ ("recovery_failures", if recovery = [] then 0 else 1) ])
+    (notes @ List.map (( ^ ) "recovery: ") recovery)
 
-let summarize rows =
-  let count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.cells))
-      0 rows
-  in
-  {
-    rows;
-    total_cells = count (fun _ -> true);
-    rolled_back = count (fun c -> c = Rolled_back);
-    benign = count (fun c -> c = Benign);
-    not_applicable = count (fun c -> c = Not_applicable);
-    violations =
-      count (function Violation _ -> true | _ -> false);
-    recovery_failures =
-      List.length (List.filter (fun r -> not r.recovered) rows);
-  }
+(* ---------- manager: the supervision loop under hostile regimes ----------
 
-let run ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = Option.value cves ~default:Cve.all in
-  let base = Base_kernel.tree () in
-  (* each CVE sweeps on its own freshly booted machine, so rows are
-     independent and sweep across the domain pool; progress lines arrive
-     in completion order (serialised by a mutex), rows in corpus order *)
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = sweep_cve ~seed i cve base in
-        emit
-          (Printf.sprintf "%-14s %s %s" row.cve_id
-             (String.init (List.length row.cells) (fun j ->
-                  cell_char (snd (List.nth row.cells j))))
-             (if row.recovered then "recovered" else "RECOVERY FAILED"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  summarize rows
-
-let ok r = r.violations = 0 && r.recovery_failures = 0
-
-(* ---------- the supervised (manager-level) sweep ----------
-
-   The transactional sweep above proves §5.2 for one apply; this one
-   proves the supervision loop around it: every CVE is pushed through
-   [Manager] under three hostile regimes, and each cell must reach a
-   terminal state (liveness) with a clean rollback audit (safety). *)
+   Every CVE is pushed through [Manager] three times, on fresh machines:
+   an injected fault, an adversarial scheduler, a failing health probe.
+   Each cell must reach a terminal state (liveness) with a clean
+   rollback audit (safety). *)
 
 type scenario = Injected | Adversarial | Unhealthy
-
-let all_scenarios = [ Injected; Adversarial; Unhealthy ]
 
 let scenario_name = function
   | Injected -> "injected"
   | Adversarial -> "adversarial"
   | Unhealthy -> "unhealthy"
-
-let scenario_char = function
-  | Injected -> 'I'
-  | Adversarial -> 'A'
-  | Unhealthy -> 'U'
-
-type mcell = {
-  mc_status : Manager.status;
-  mc_attempts : int;
-  mc_clock : int;
-  mc_events : int;
-  mc_violations : int;
-  mc_notes : string list;  (* scenario-contract breaches; [] = passed *)
-  mc_report : Report.Json.t;  (* the cell's full manager event log *)
-}
-
-type mrow = {
-  m_cve : string;
-  m_cells : (scenario * mcell) list;
-}
-
-type mreport = {
-  m_rows : mrow list;
-  m_cells_total : int;
-  m_healthy : int;
-  m_parked : int;
-  m_quarantined : int;
-  m_violations : int;
-  m_failures : int;  (* cells with contract breaches *)
-}
 
 (* the health gate the manager runs after every successful apply: the
    CVE's exploit must be blocked (where one exists) and a short stress
@@ -261,6 +398,21 @@ let manager_policy ~seed =
     seed; deadline = 12_000; retry_limit = 4; backoff_base = 300;
     backoff_cap = 2_000; jitter = 100 }
 
+(* the entry address of the first replaced function: where the
+   adversarial churner and the transition straggler park a thread *)
+let replaced_entry machine (update : Ksplice.Update.t) =
+  match update.replaced_functions with
+  | [] -> None
+  | (_, cfn) :: _ ->
+    let raw, _ = Ksplice.Update.split_canonical cfn in
+    (match
+       Machine.lookup_name machine raw
+       |> List.filter (fun (s : Klink.Image.syminfo) -> s.kind = `Func)
+     with
+     | [ s ] -> Some s.addr
+     | _ -> None)
+
+(* one (CVE, scenario) cell, as a one-cell row keyed by the scenario *)
 let run_mcell ~seed scenario (cve : Cve.t) update =
   let b = Boot.boot () in
   let ap = Apply.init b.machine in
@@ -288,21 +440,13 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
      (* an adversarial scheduler: a thread parked at the entry of a
         function the update will replace — its pc sits in the §5.2
         guard range until the manager's backoff drains it *)
-     (match update.Ksplice.Update.replaced_functions with
-      | (_, cfn) :: _ ->
-        let raw, _ = Ksplice.Update.split_canonical cfn in
-        (match
-           Machine.lookup_name b.machine raw
-           |> List.filter (fun (s : Klink.Image.syminfo) ->
-                  s.kind = `Func)
-         with
-         | [ s ] ->
-           ignore
-             (Machine.spawn b.machine ~name:"churner" ~uid:1
-                ~entry:s.addr ~args:[ 1l ]
-               : Machine.thread)
-         | _ -> ())
-      | [] -> ());
+     Option.iter
+       (fun entry ->
+         ignore
+           (Machine.spawn b.machine ~name:"churner" ~uid:1 ~entry
+              ~args:[ 1l ]
+             : Machine.thread))
+       (replaced_entry b.machine update);
      Manager.submit mgr update ~health
    | Unhealthy ->
      (* the update applies fine but the gate must fail: a canary probe
@@ -370,201 +514,56 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
       | st -> note "unexpected state %s" (Manager.status_name st));
      if Apply.applied ap <> [] then
        note "quarantined update still on the applied stack");
-  {
-    mc_status = st;
-    mc_attempts = attempts;
-    mc_clock = Manager.now mgr;
-    mc_events = List.length (Manager.events mgr);
-    mc_violations = Manager.violations mgr;
-    mc_notes = List.rev !notes;
-    mc_report = Manager.report mgr;
-  }
+  let is b = if b then 1 else 0 in
+  let num n = Json.Num (float_of_int n) in
+  row
+    ~cells:
+      (match st with
+       | Manager.Applied_healthy -> "H"
+       | Manager.Parked _ -> "P"
+       | Manager.Quarantined _ -> "Q"
+       | Manager.Waiting -> "W")
+    ~detail:
+      (Json.Obj
+         [ ("status", Json.Str (Manager.status_name st));
+           ("attempts", num attempts);
+           ("clock", num (Manager.now mgr));
+           ("events", num (List.length (Manager.events mgr)));
+           ("manager", Manager.report mgr) ])
+    (scenario_name scenario)
+    [ ("healthy", is (st = Manager.Applied_healthy));
+      ("parked", is (match st with Manager.Parked _ -> true | _ -> false));
+      ("quarantined",
+       is (match st with Manager.Quarantined _ -> true | _ -> false));
+      ("attempts", attempts);
+      ("audit_violations", Manager.violations mgr);
+      ("contract_failures", is (!notes <> [])) ]
+    (List.rev !notes)
 
-let msummarize rows =
-  let count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.m_cells))
-      0 rows
+let manager_row ~seed i (cve : Cve.t) base =
+  let update = create_update cve base in
+  let cells =
+    List.map
+      (fun sc ->
+        let cell_seed = seed + (1013 * i) + Hashtbl.hash (scenario_name sc) in
+        run_mcell ~seed:cell_seed sc cve update)
+      [ Injected; Adversarial; Unhealthy ]
   in
-  {
-    m_rows = rows;
-    m_cells_total = count (fun _ -> true);
-    m_healthy = count (fun c -> c.mc_status = Manager.Applied_healthy);
-    m_parked =
-      count (fun c ->
-          match c.mc_status with Manager.Parked _ -> true | _ -> false);
-    m_quarantined =
-      count (fun c ->
-          match c.mc_status with
-          | Manager.Quarantined _ -> true
-          | _ -> false);
-    m_violations =
-      List.fold_left
-        (fun acc r ->
-          acc
-          + List.fold_left
-              (fun acc (_, c) -> acc + c.mc_violations)
-              0 r.m_cells)
-        0 rows;
-    m_failures = count (fun c -> c.mc_notes <> []);
-  }
+  row cve.id
+    ~cells:(String.concat "" (List.map (fun c -> c.cells) cells))
+    ~detail:(Json.Obj (List.map (fun c -> (c.key, c.detail)) cells))
+    (sum_counters cells)
+    (List.concat_map
+       (fun c -> List.map (Printf.sprintf "%s: %s" c.key) c.notes)
+       cells)
 
-let run_manager ?(seed = 0) ?cves ?(scenarios = all_scenarios) ?progress
-    ?domains () =
-  let cves = Option.value cves ~default:Cve.all in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let update = create_update cve base in
-        let cells =
-          List.map
-            (fun sc ->
-              let cell_seed = seed + (1013 * i) + Hashtbl.hash (scenario_name sc) in
-              (sc, run_mcell ~seed:cell_seed sc cve update))
-            scenarios
-        in
-        let row = { m_cve = cve.id; m_cells = cells } in
-        emit
-          (Printf.sprintf "%-14s %s" row.m_cve
-             (String.concat " "
-                (List.map
-                   (fun (sc, c) ->
-                     Printf.sprintf "%c:%s%s" (scenario_char sc)
-                       (Manager.status_name c.mc_status)
-                       (if c.mc_notes = [] then "" else "(FAIL)"))
-                   row.m_cells)));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  msummarize rows
+(* ---------- crash: persistence under process death ----------
 
-let manager_ok r = r.m_failures = 0 && r.m_violations = 0
-
-let pp_manager ppf r =
-  Format.fprintf ppf
-    "supervised sweep: %d CVEs x %d scenarios@\n@\n"
-    (List.length r.m_rows)
-    (match r.m_rows with [] -> 0 | row :: _ -> List.length row.m_cells);
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %s@\n" row.m_cve
-        (String.concat "  "
-           (List.map
-              (fun (sc, c) ->
-                Printf.sprintf "%c:%-16s a=%d t=%-6d%s" (scenario_char sc)
-                  (Manager.status_name c.mc_status)
-                  c.mc_attempts c.mc_clock
-                  (if c.mc_notes = [] then "" else " FAIL"))
-              row.m_cells)))
-    r.m_rows;
-  Format.fprintf ppf
-    "@\ncells: %d  healthy: %d  parked: %d  quarantined: %d  \
-     audit violations: %d  contract failures: %d@\n"
-    r.m_cells_total r.m_healthy r.m_parked r.m_quarantined r.m_violations
-    r.m_failures;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (sc, c) ->
-          if c.mc_notes <> [] then begin
-            Format.fprintf ppf "FAILURE %s @@ %s:@\n" row.m_cve
-              (scenario_name sc);
-            List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) c.mc_notes
-          end)
-        row.m_cells)
-    r.m_rows;
-  if manager_ok r then
-    Format.fprintf ppf
-      "every update reached a terminal state; every abort, park and \
-       auto-revert audited byte-identical@\n"
-
-let pp_matrix ppf r =
-  let steps = Txn.all_steps in
-  (* header: abbreviated step names, vertical *)
-  Format.fprintf ppf "fault-injection sweep: %d CVEs x %d steps@\n@\n"
-    (List.length r.rows) (List.length steps);
-  Format.fprintf ppf "%-16s %s  recovered@\n" "CVE"
-    (String.concat " "
-       (List.map (fun s -> String.sub (Txn.step_name s) 0 2) steps));
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %s  %s@\n" row.cve_id
-        (String.concat "  "
-           (List.map (fun (_, c) -> String.make 1 (cell_char c)) row.cells))
-        (if row.recovered then "yes" else "NO"))
-    r.rows;
-  Format.fprintf ppf
-    "@\nR rolled back clean  B benign  - fault never fired  ! violation@\n";
-  Format.fprintf ppf
-    "cells: %d  rolled-back: %d  benign: %d  n/a: %d  violations: %d  \
-     recovery failures: %d@\n"
-    r.total_cells r.rolled_back r.benign r.not_applicable r.violations
-    r.recovery_failures;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (step, c) ->
-          match c with
-          | Violation msgs ->
-            Format.fprintf ppf "VIOLATION %s @@ %s:@\n" row.cve_id
-              (Txn.step_name step);
-            List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) msgs
-          | _ -> ())
-        row.cells;
-      if not row.recovered then begin
-        Format.fprintf ppf "RECOVERY FAILURE %s:@\n" row.cve_id;
-        List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) row.notes
-      end)
-    r.rows;
-  if ok r then
-    Format.fprintf ppf
-      "all faulted applies rolled back byte-identically; all CVEs \
-       re-applied, verified, stressed%s@\n"
-      " and exploit-checked"
-
-(* ---------- the crash sweep: persistence under process death ----------
-
-   The filesystem analogue of the apply sweep above: publish a CVE's
-   update into a fresh on-disk repository, killing the simulated process
-   at every i-th mutating I/O operation ([Vfs.Crash]); then reopen with
-   a clean handle (the reboot) and assert the store recovers to
-   fsck-clean with the chain atomically all-or-nothing, and that GC
-   afterwards reclaims exactly the unreachable blobs. *)
-
-module Repo = Ksplice.Repository
-module Tree = Patchfmt.Source_tree
-module Diff = Patchfmt.Diff
-
-type crow = {
-  cr_cve : string;
-  cr_ops : int;  (* mutating I/O ops in a fault-free publish *)
-  cr_published : int;  (* crash points after which the chain survived whole *)
-  cr_absent : int;  (* crash points after which it vanished atomically *)
-  cr_gc_swept : int;
-  cr_gc_bytes : int;
-  cr_notes : string list;  (* violations; [] = row passed *)
-}
-
-type crash_report = {
-  c_rows : crow list;
-  c_cells : int;
-  c_published : int;
-  c_absent : int;
-  c_violations : int;
-  c_gc_swept : int;
-  c_gc_bytes : int;
-}
+   Publish a CVE's update into a fresh on-disk repository, killing the
+   simulated process at every i-th mutating I/O operation ([Vfs.Crash]);
+   then reopen with a clean handle (the reboot) and assert the store
+   recovers to fsck-clean with the chain atomically all-or-nothing, and
+   that GC afterwards reclaims exactly the unreachable blobs. *)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -682,7 +681,8 @@ let crash_probe (cve : Cve.t) base ~patch ~update =
           | Error e ->
             (n, [ Format.asprintf "sync after publish: %a" Repo.pp_error e ]))))
 
-let crash_cve ~seed (cve : Cve.t) base =
+let crash_row ~seed i (cve : Cve.t) base =
+  let seed = seed + (1009 * i) in
   let patch = Cve.hot_patch cve base in
   let update = create_update cve base in
   let base_digest = Tree.digest base in
@@ -704,85 +704,12 @@ let crash_cve ~seed (cve : Cve.t) base =
     swept := !swept + s;
     bytes := !bytes + by
   done;
-  {
-    cr_cve = cve.id;
-    cr_ops = ops;
-    cr_published = !published;
-    cr_absent = !absent;
-    cr_gc_swept = !swept;
-    cr_gc_bytes = !bytes;
-    cr_notes = !notes;
-  }
+  row cve.id
+    [ ("ops", ops); ("published", !published); ("absent", !absent);
+      ("gc_swept", !swept); ("gc_bytes", !bytes) ]
+    !notes
 
-(* every 8th CVE: a deterministic sample spanning the corpus — each row
-   costs [ops] publish+recover+gc rounds, so the full 64 would be slow *)
-let crash_sample () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
-
-let run_crash ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> crash_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = crash_cve ~seed:(seed + (1009 * i)) cve base in
-        emit
-          (Printf.sprintf "%-14s %3d crash points: %d whole, %d absent%s"
-             row.cr_cve row.cr_ops row.cr_published row.cr_absent
-             (if row.cr_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  {
-    c_rows = rows;
-    c_cells = sum (fun r -> r.cr_ops);
-    c_published = sum (fun r -> r.cr_published);
-    c_absent = sum (fun r -> r.cr_absent);
-    c_violations = sum (fun r -> List.length r.cr_notes);
-    c_gc_swept = sum (fun r -> r.cr_gc_swept);
-    c_gc_bytes = sum (fun r -> r.cr_gc_bytes);
-  }
-
-let crash_ok r = r.c_violations = 0
-
-let pp_crash ppf r =
-  Format.fprintf ppf
-    "crash sweep: %d CVEs, a publish killed at every mutating I/O op@\n@\n"
-    (List.length r.c_rows);
-  Format.fprintf ppf "%-16s %5s %9s %7s %9s@\n" "CVE" "ops" "published"
-    "absent" "gc-bytes";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %5d %9d %7d %9d%s@\n" row.cr_cve row.cr_ops
-        row.cr_published row.cr_absent row.cr_gc_bytes
-        (if row.cr_notes = [] then "" else "  VIOLATION"))
-    r.c_rows;
-  Format.fprintf ppf
-    "@\ncrash points: %d  recovered whole: %d  recovered absent: %d  \
-     violations: %d  gc swept: %d blobs (%d bytes)@\n"
-    r.c_cells r.c_published r.c_absent r.c_violations r.c_gc_swept
-    r.c_gc_bytes;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.cr_cve m)
-        row.cr_notes)
-    r.c_rows;
-  if crash_ok r then
-    Format.fprintf ppf
-      "every crash point recovered to fsck-clean with the chain \
-       all-or-nothing; gc reclaimed only unreachable blobs@\n"
-
-(* ---------- the transition sweep: patch under load, no global pause ----------
+(* ---------- transition: patch under load, no global pause ----------
 
    Twin machines run the same busy multi-threaded stress workload. Mid-
    flight, machine A applies the CVE's update through the per-thread
@@ -798,27 +725,6 @@ let pp_crash ppf r =
 
 module Transition = Manager.Transition
 
-type trow = {
-  t_cve : string;
-  t_threads : int;
-  t_pause_ns : int;  (* per-thread apply pause (0 = pauseless) *)
-  t_undo_pause_ns : int;
-  t_base_pause_ns : int;  (* stop_machine baseline pause under load *)
-  t_migrated : (string * int) list;  (* safe-point class -> threads *)
-  t_rounds : int;
-  t_sched_steps : int;
-  t_straggler_forced : int;
-  t_straggler_pause_ns : int;
-  t_notes : string list;  (* contract breaches; [] = row passed *)
-}
-
-type treport = {
-  t_rows : trow list;
-  t_pauseless : int;  (* rows whose per-thread apply never paused *)
-  t_fallbacks : int;  (* straggler cells that engaged the fallback *)
-  t_violations : int;
-}
-
 (* generous §5.2 bounds for the baseline twin: under the stress load it
    must converge (the comparison needs a successful baseline), however
    many backoff rounds that takes *)
@@ -828,21 +734,6 @@ let baseline_apply mgr update =
 
 let baseline_undo mgr id =
   Apply.undo mgr ~max_attempts:64 ~retry_budget:400_000 ~retry_cap:8_000 id
-
-(* the entry address of the first replaced function — where the
-   straggler cell parks a sleeping thread (same recipe as the manager
-   sweep's adversarial churner, but asleep mid-function) *)
-let replaced_entry machine (update : Ksplice.Update.t) =
-  match update.replaced_functions with
-  | [] -> None
-  | (_, cfn) :: _ ->
-    let raw, _ = Ksplice.Update.split_canonical cfn in
-    (match
-       Machine.lookup_name machine raw
-       |> List.filter (fun (s : Klink.Image.syminfo) -> s.kind = `Func)
-     with
-     | [ s ] -> Some s.addr
-     | _ -> None)
 
 (* [Stress.run] is single-use per boot (its host-side check expects each
    counter to equal exactly one run's iterations), so every phase gets a
@@ -984,111 +875,36 @@ let run_tcell (cve : Cve.t) update =
         if s.Transition.st_forced < 1 then
           note "the straggler was never force-migrated");
      compare_footprints mgra3 mgrb3 "after the straggler apply");
-  let stats = !apply_stats in
-  let classes s =
-    List.filter_map
-      (fun (c, n) ->
-        if n = 0 then None else Some (Transition.sp_class_name c, n))
-      (Transition.migrated_by_class s)
+  let stat ?(none = 0) f s = match s with Some s -> f s | None -> none in
+  let pause = stat ~none:(-1) (fun s -> s.Transition.st_pause_ns) !apply_stats in
+  let forced = stat (fun s -> s.Transition.st_forced) !straggler_stats in
+  let migrated =
+    Option.fold ~none:[] ~some:Transition.migrated_by_class !apply_stats
   in
-  { t_cve = cve.id;
-    t_threads =
-      (match stats with Some s -> s.Transition.st_threads | None -> 0);
-    t_pause_ns =
-      (match stats with Some s -> s.Transition.st_pause_ns | None -> -1);
-    t_undo_pause_ns =
-      (match !undo_stats with
-       | Some s -> s.Transition.st_pause_ns
-       | None -> -1);
-    t_base_pause_ns = !base_pause;
-    t_migrated = (match stats with Some s -> classes s | None -> []);
-    t_rounds = (match stats with Some s -> s.Transition.st_rounds | None -> 0);
-    t_sched_steps =
-      (match stats with Some s -> s.Transition.st_sched_steps | None -> 0);
-    t_straggler_forced =
-      (match !straggler_stats with
-       | Some s -> s.Transition.st_forced
-       | None -> 0);
-    t_straggler_pause_ns =
-      (match !straggler_stats with
-       | Some s -> s.Transition.st_pause_ns
-       | None -> 0);
-    t_notes = !notes }
+  row cve.id
+    ([ ("threads", stat (fun s -> s.Transition.st_threads) !apply_stats);
+       ("pause_ns", pause);
+       ("undo_pause_ns",
+        stat ~none:(-1) (fun s -> s.Transition.st_pause_ns) !undo_stats);
+       ("base_pause_ns", !base_pause);
+       ("rounds", stat (fun s -> s.Transition.st_rounds) !apply_stats);
+       ("sched_steps", stat (fun s -> s.Transition.st_sched_steps) !apply_stats);
+       ("straggler_forced", forced);
+       ("straggler_pause_ns",
+        stat (fun s -> s.Transition.st_pause_ns) !straggler_stats);
+       ("pauseless", if pause = 0 then 1 else 0);
+       ("fallback", if forced > 0 then 1 else 0) ]
+    @ List.map
+        (fun c ->
+          ( "migrated_" ^ Transition.sp_class_name c,
+            Option.value ~default:0 (List.assoc_opt c migrated) ))
+        Transition.all_classes)
+    !notes
 
-(* same deterministic corpus sample as the crash sweep: each row costs
-   six stress runs across its twin machines *)
-let transition_sample () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
+let transition_row ~seed:_ _ (cve : Cve.t) base =
+  run_tcell cve (create_update cve base)
 
-let run_transition ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> transition_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun cve ->
-        let update = create_update cve base in
-        let row = run_tcell cve update in
-        emit
-          (Printf.sprintf "%-14s pause %d ns (baseline %d ns) forced %d%s"
-             row.t_cve row.t_pause_ns row.t_base_pause_ns
-             row.t_straggler_forced
-             (if row.t_notes = [] then "" else "  VIOLATION"));
-        row)
-      cves
-  in
-  { t_rows = rows;
-    t_pauseless =
-      List.length (List.filter (fun r -> r.t_pause_ns = 0) rows);
-    t_fallbacks =
-      List.length (List.filter (fun r -> r.t_straggler_forced > 0) rows);
-    t_violations =
-      List.fold_left (fun acc r -> acc + List.length r.t_notes) 0 rows }
-
-let transition_ok r = r.t_violations = 0
-
-let pp_transition ppf r =
-  Format.fprintf ppf
-    "transition sweep: %d CVEs applied and undone mid-stress, per-thread \
-     vs stop_machine twins@\n@\n"
-    (List.length r.t_rows);
-  Format.fprintf ppf "%-16s %4s %9s %9s %7s %6s %s@\n" "CVE" "thr"
-    "pause(ns)" "base(ns)" "forced" "rounds" "migrated-by";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %4d %9d %9d %7d %6d %s%s@\n" row.t_cve
-        row.t_threads row.t_pause_ns row.t_base_pause_ns
-        row.t_straggler_forced row.t_rounds
-        (String.concat ","
-           (List.map
-              (fun (c, n) -> Printf.sprintf "%s=%d" c n)
-              row.t_migrated))
-        (if row.t_notes = [] then "" else "  VIOLATION"))
-    r.t_rows;
-  Format.fprintf ppf
-    "@\nrows: %d  pauseless applies: %d  straggler fallbacks: %d  \
-     violations: %d@\n"
-    (List.length r.t_rows) r.t_pauseless r.t_fallbacks r.t_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.t_cve m)
-        row.t_notes)
-    r.t_rows;
-  if transition_ok r then
-    Format.fprintf ppf
-      "every update landed and reversed under load with zero pause and a \
-       byte-identical footprint; every straggler converged through the \
-       bounded fallback@\n"
-
-(* ---------- the fleet sweep: distribution under transport faults ----------
+(* ---------- fleet: distribution under transport faults ----------
 
    For each sampled CVE a server repository publishes a short stacked
    chain (this CVE plus the next corpus CVEs that still apply to the
@@ -1100,28 +916,9 @@ let pp_transition ppf r =
    seed. One extra cell per row proves graceful degradation against an
    unreachable server. *)
 
-module Wire = Fleet.Wire
 module Transport = Fleet.Transport
 module Server = Fleet.Server
 module Subscriber = Fleet.Subscriber
-
-type frow = {
-  fl_cve : string;
-  fl_depth : int;  (* entries published on the server chain *)
-  fl_frames : int;  (* frames crossing the wire in a fault-free sync *)
-  fl_cells : int;
-  fl_retried : int;  (* cells that needed more than one attempt *)
-  fl_bytes_saved : int;  (* bytes resume skipped re-downloading *)
-  fl_notes : string list;  (* violations; [] = row passed *)
-}
-
-type fleet_report = {
-  fl_rows : frow list;
-  fl_total_cells : int;
-  fl_total_retried : int;
-  fl_total_saved : int;
-  fl_violations : int;
-}
 
 (* build the server chain: publish [cve], then keep stacking the corpus
    CVEs that still apply to the successively patched tree *)
@@ -1198,7 +995,8 @@ let fleet_cell ~seed repo ~base_digest ~server_head ~at ~kind =
   let r = Subscriber.sync ~id ~store:sub ~base:base_digest ~connect () in
   (r, fleet_mirror_notes repo sub ~server_head r)
 
-let fleet_cve ~seed (cve : Cve.t) base =
+let fleet_cve ~seed i (cve : Cve.t) base =
+  let seed = seed + (2003 * i) in
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let base_digest = Tree.digest base in
@@ -1273,84 +1071,12 @@ let fleet_cve ~seed (cve : Cve.t) base =
    match Store.fsck sub with
    | Ok _ -> ()
    | Error _ -> note "degraded store not fsck-clean");
-  {
-    fl_cve = cve.id;
-    fl_depth = depth;
-    fl_frames = frames;
-    fl_cells = !cells;
-    fl_retried = !retried;
-    fl_bytes_saved = !saved;
-    fl_notes = !notes;
-  }
+  row cve.id
+    [ ("depth", depth); ("frames", frames); ("cells", !cells);
+      ("retried", !retried); ("bytes_saved", !saved) ]
+    !notes
 
-let fleet_sample = crash_sample
-
-let run_fleet ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> fleet_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = fleet_cve ~seed:(seed + (2003 * i)) cve base in
-        emit
-          (Printf.sprintf
-             "%-14s depth %d, %3d frames, %3d cells: %d retried, %dB saved%s"
-             row.fl_cve row.fl_depth row.fl_frames row.fl_cells
-             row.fl_retried row.fl_bytes_saved
-             (if row.fl_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  {
-    fl_rows = rows;
-    fl_total_cells = sum (fun r -> r.fl_cells);
-    fl_total_retried = sum (fun r -> r.fl_retried);
-    fl_total_saved = sum (fun r -> r.fl_bytes_saved);
-    fl_violations = sum (fun r -> List.length r.fl_notes);
-  }
-
-let fleet_ok r = r.fl_violations = 0
-
-let pp_fleet ppf r =
-  Format.fprintf ppf
-    "fleet sweep: %d CVEs, every transport fault at every wire frame@\n@\n"
-    (List.length r.fl_rows);
-  Format.fprintf ppf "%-16s %5s %7s %6s %8s %11s@\n" "CVE" "depth" "frames"
-    "cells" "retried" "bytes-saved";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %5d %7d %6d %8d %11d%s@\n" row.fl_cve
-        row.fl_depth row.fl_frames row.fl_cells row.fl_retried
-        row.fl_bytes_saved
-        (if row.fl_notes = [] then "" else "  VIOLATION"))
-    r.fl_rows;
-  Format.fprintf ppf
-    "@\ncells: %d  retried to convergence: %d  resume bytes saved: %d  \
-     violations: %d@\n"
-    r.fl_total_cells r.fl_total_retried r.fl_total_saved r.fl_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.fl_cve m)
-        row.fl_notes)
-    r.fl_rows;
-  if fleet_ok r then
-    Format.fprintf ppf
-      "every faulted sync converged byte-identically with a clean mirror \
-       and zero redundant transfers; unreachable servers degraded to the \
-       old head@\n"
-
-(* ---------- the cumulative sweep: atomic replace at depth ----------
+(* ---------- cumulative: atomic replace at depth ----------
 
    For each requested depth k a chain of k corpus CVEs (each still
    applicable to the successively patched tree) is published into a
@@ -1372,31 +1098,6 @@ let pp_fleet ppf r =
    extras: patch (ctor attaches the side table), exploit blocked,
    collapse and un-collapse keep the shadows live, final undo runs the
    dtors and the exploit returns. *)
-
-type curow = {
-  cu_requested : int;
-  cu_depth : int;  (* chain entries actually published *)
-  cu_chain : string list;  (* update ids, oldest first *)
-  cu_cells : (Txn.step * cell) list;
-  cu_fsck_clean : bool;
-  cu_notes : string list;  (* violations; [] = row passed *)
-}
-
-type cushadow = {
-  cs_cve : string;
-  cs_shadows : int;  (* shadow bindings live after the collapse *)
-  cs_notes : string list;
-}
-
-type cumulative_report = {
-  cu_rows : curow list;
-  cu_shadows : cushadow list;
-  cu_total_cells : int;
-  cu_rolled_back : int;
-  cu_violations : int;
-}
-
-let cumulative_depths = [ 1; 8; 32 ]
 
 (* publish a chain of [depth] CVEs: walk the corpus, keep every CVE
    that still applies to the successively patched tree *)
@@ -1430,48 +1131,9 @@ let cumulative_chain ~name base ~depth =
    an abort must put it back byte-identical (stack still live), a
    survived apply must verify and un-collapse for the next cell *)
 let run_cucell mgr cum_id update step ~seed =
-  let m = Apply.machine mgr in
-  let snap = Machine.snapshot m in
-  let plan = { Faultinj.step; kind = Faultinj.kind_for_step step; seed } in
-  let session = Faultinj.make m plan in
-  let result = Apply.apply_cumulative mgr ~inject:session update in
-  Faultinj.disarm session;
-  let fired = Faultinj.fired session in
-  match result with
-  | Error e ->
-    let diff = Machine.diff_snapshot m snap in
-    if diff <> [] then
-      Violation
-        (Format.asprintf "abort of %a left the machine diverged: %s"
-           Faultinj.pp_plan plan (err_str e)
-         :: diff)
-    else if not fired then
-      Violation
-        [ Format.asprintf "%a never fired yet collapse failed: %s"
-            Faultinj.pp_plan plan (err_str e) ]
-    else Rolled_back
-  | Ok _ ->
-    let verdict =
-      if fired && Faultinj.expect_abort plan.kind then
-        Violation
-          [ Format.asprintf "%a fired but collapse succeeded"
-              Faultinj.pp_plan plan ]
-      else
-        match Apply.verify mgr with
-        | Error e ->
-          Violation
-            [ Format.asprintf "collapse under %a did not verify: %s"
-                Faultinj.pp_plan plan (err_str e) ]
-        | Ok () -> if fired then Benign else Not_applicable
-    in
-    (match Apply.undo mgr cum_id with
-     | Ok () -> verdict
-     | Error e -> (
-       match verdict with
-       | Violation msgs ->
-         Violation (msgs @ [ "and un-collapse failed: " ^ err_str e ])
-       | _ ->
-         Violation [ "un-collapse after surviving apply failed: " ^ err_str e ]))
+  faulted_cell
+    ~apply:(fun mgr ~inject u -> Apply.apply_cumulative mgr ~inject u)
+    ~what:"collapse" mgr cum_id update step ~seed
 
 let stack_ids mgr =
   List.rev_map
@@ -1598,14 +1260,13 @@ let run_curow ~seed ~depth base =
         fr.Repo.corrupt_entries;
       false
   in
-  {
-    cu_requested = depth;
-    cu_depth = List.length chain;
-    cu_chain = ids;
-    cu_cells = !cells;
-    cu_fsck_clean = fsck_clean;
-    cu_notes = !notes;
-  }
+  let chars, counters, cell_notes = step_cells !cells in
+  row ~cells:chars
+    ~detail:(Json.Obj [ ("chain", Json.Arr (List.map (fun id -> Json.Str id) ids)) ])
+    (string_of_int depth)
+    ([ ("depth", List.length chain); ("fsck_clean", if fsck_clean then 1 else 0) ]
+    @ counters)
+    (!notes @ cell_notes)
 
 (* §5.3 round trip for one shadow-variable extra *)
 let run_cushadow (cve : Cve.t) base =
@@ -1672,111 +1333,47 @@ let run_cushadow (cve : Cve.t) base =
     note "shadow dtor left %d bindings (started with %d)"
       (Machine.shadow_count m) count0;
   check_exploit "reverted" true;
-  { cs_cve = cve.id; cs_shadows = !shadows; cs_notes = !notes }
+  row cve.id [ ("shadows", !shadows) ] !notes
 
-let run_cumulative ?(seed = 0) ?(depths = cumulative_depths) ?progress
-    ?domains () =
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
+(* depth rows and shadow rows; a depth row's seed counts depth rows only *)
+let cumulative_rows ~seed keys =
+  let keys =
+    if keys = [] then
+      [ "1"; "8"; "32" ] @ List.map (fun (c : Cve.t) -> c.id) Cve.shadow_extras
+    else keys
   in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, depth) ->
-        let row = run_curow ~seed:(seed + (4001 * i)) ~depth base in
-        emit
-          (Printf.sprintf "depth %-3d (%d published) %s  fsck %s%s"
-             row.cu_requested row.cu_depth
-             (String.concat ""
-                (List.map (fun (_, c) -> String.make 1 (cell_char c))
-                   row.cu_cells))
-             (if row.cu_fsck_clean then "clean" else "DIRTY")
-             (if row.cu_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i d -> (i, d)) depths)
+  let parse key =
+    match int_of_string_opt key with
+    | Some d when d >= 1 -> Ok (`Depth d)
+    | _ -> (
+      match
+        List.find_opt (fun (c : Cve.t) -> c.id = key) Cve.shadow_extras
+      with
+      | Some c -> Ok (`Shadow c)
+      | None ->
+        Error
+          (Unknown_row
+             { sweep = "cumulative"; key;
+               expected =
+                 "a chain depth (a positive integer) or a shadow-variable \
+                  extra ("
+                 ^ String.concat ", "
+                     (List.map (fun (c : Cve.t) -> c.id) Cve.shadow_extras)
+                 ^ ")" }))
   in
-  let shadows =
-    Parallel.map ?domains
-      (fun (cve : Cve.t) ->
-        let row = run_cushadow cve base in
-        emit
-          (Printf.sprintf "%-14s %d shadow bindings%s" row.cs_cve
-             row.cs_shadows
-             (if row.cs_notes = [] then "" else "  VIOLATION"));
-        row)
-      Cve.shadow_extras
-  in
-  let cell_count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.cu_cells))
-      0 rows
-  in
-  {
-    cu_rows = rows;
-    cu_shadows = shadows;
-    cu_total_cells = cell_count (fun _ -> true);
-    cu_rolled_back = cell_count (fun c -> c = Rolled_back);
-    cu_violations =
-      cell_count (function Violation _ -> true | _ -> false)
-      + List.fold_left (fun a r -> a + List.length r.cu_notes) 0 rows
-      + List.fold_left (fun a r -> a + List.length r.cs_notes) 0 shadows;
-  }
+  Result.map
+    (fun parsed ->
+      let base = Base_kernel.tree () in
+      snd
+        (List.fold_left_map
+           (fun i -> function
+             | `Depth depth ->
+               (i + 1, fun () -> run_curow ~seed:(seed + (4001 * i)) ~depth base)
+             | `Shadow cve -> (i, fun () -> run_cushadow cve base))
+           0 parsed))
+    (map_ok parse keys)
 
-let cumulative_ok r = r.cu_violations = 0
-
-let pp_cumulative ppf r =
-  Format.fprintf ppf
-    "cumulative sweep: atomic replace at depth %s, faults at every step@\n@\n"
-    (String.concat "/"
-       (List.map (fun row -> string_of_int row.cu_requested) r.cu_rows));
-  Format.fprintf ppf "%-10s %-10s %-12s %-6s cells@\n" "requested"
-    "published" "chain-head" "fsck";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-10d %-10d %-12s %-6s %s%s@\n" row.cu_requested
-        row.cu_depth
-        (match List.rev row.cu_chain with [] -> "-" | id :: _ -> id)
-        (if row.cu_fsck_clean then "clean" else "DIRTY")
-        (String.concat ""
-           (List.map (fun (_, c) -> String.make 1 (cell_char c)) row.cu_cells))
-        (if row.cu_notes = [] then "" else "  VIOLATION"))
-    r.cu_rows;
-  Format.fprintf ppf "@\nshadow-variable rows (§5.3):@\n";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %d bindings%s@\n" row.cs_cve row.cs_shadows
-        (if row.cs_notes = [] then "" else "  VIOLATION"))
-    r.cu_shadows;
-  Format.fprintf ppf
-    "@\ncells: %d  rolled-back: %d  violations: %d@\n" r.cu_total_cells
-    r.cu_rolled_back r.cu_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m ->
-          Format.fprintf ppf "VIOLATION depth %d: %s@\n" row.cu_requested m)
-        row.cu_notes)
-    r.cu_rows;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.cs_cve m)
-        row.cs_notes)
-    r.cu_shadows;
-  if cumulative_ok r then
-    Format.fprintf ppf
-      "every collapse landed footprint-identical to its plain twin, every \
-       fault rolled back to the stacked machine, and the shadow round \
-       trips ran their ctors and dtors@\n"
-
-(* ---------- the minimal-differencing sweep ----------
+(* ---------- diffmin: minimal differencing ----------
 
    For every corpus CVE (plus the shadow and differencing extras) build
    the update twice — function-granular minimal and whole-unit baseline
@@ -1784,32 +1381,6 @@ let pp_cumulative ppf r =
    stress, blocks the exploit, lands a deterministic footprint) while
    measuring what minimality buys: update bytes and run-pre candidate
    trials. *)
-
-type dmrow = {
-  dm_cve : string;
-  dm_min_bytes : int;
-  dm_whole_bytes : int;
-  dm_min_syms : int;  (** defined symbols shipped in the minimal primary *)
-  dm_whole_syms : int;
-  dm_min_trials : int;  (** run-pre candidate trials during apply *)
-  dm_whole_trials : int;
-  dm_closure : bool;  (** some symbol shipped by dependency closure *)
-  dm_data_ref : bool;  (** some function shipped as a data referent *)
-  dm_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type dm_report = {
-  dm_rows : dmrow list;
-  dm_bytes_min : int;
-  dm_bytes_whole : int;
-  dm_trials_min : int;
-  dm_trials_whole : int;
-  dm_closure_demos : int;
-  dm_dataref_demos : int;
-  dm_persist_rejects : int;
-      (** Table-1 mainline patches refused as [Data_semantics_changed] *)
-  dm_violations : int;
-}
 
 let defined_syms (o : Objfile.t) =
   List.length (List.filter Objfile.Symbol.is_defined o.Objfile.symbols)
@@ -1823,10 +1394,7 @@ let update_size (u : Ksplice.Update.t) =
 let dm_trials_mutex = Mutex.create ()
 
 let dm_measured_apply update =
-  Mutex.lock dm_trials_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock dm_trials_mutex)
-    (fun () ->
+  Mutex.protect dm_trials_mutex (fun () ->
       let b = Boot.boot () in
       let mgr = Apply.init b.machine in
       Ksplice.Runpre.reset_match_attempts ();
@@ -1845,18 +1413,7 @@ let run_dmrow (cve : Cve.t) base =
     { Create.source = base; patch; update_id = cve.id;
       description = cve.desc }
   in
-  let cmin, cwhole =
-    match (Create.create req, Create.create ~minimal:false req) with
-    | Ok a, Ok b -> (Some a, Some b)
-    | Error e, _ ->
-      note "minimal create failed: %a" Create.pp_error e;
-      (None, None)
-    | _, Error e ->
-      note "whole-unit create failed: %a" Create.pp_error e;
-      (None, None)
-  in
-  match (cmin, cwhole) with
-  | Some cmin, Some cwhole ->
+  let measure cmin cwhole =
     (* completeness of the explanation: every defined primary symbol
        must carry an inclusion reason *)
     let reasons = Create.shipped_symbols cmin in
@@ -1869,10 +1426,10 @@ let run_dmrow (cve : Cve.t) base =
     let has_reason p =
       List.exists (fun (_, (_, r)) -> p r) reasons
     in
-    let dm_closure =
+    let closure =
       has_reason (function Ksplice.Prepost.Closure_of _ -> true | _ -> false)
     in
-    let dm_data_ref =
+    let data_ref =
       has_reason (function
         | Ksplice.Prepost.Data_referent _ -> true
         | _ -> false)
@@ -1919,39 +1476,37 @@ let run_dmrow (cve : Cve.t) base =
        match Apply.verify mgrw with
        | Ok () -> ()
        | Error e -> note "whole-unit apply did not verify: %s" (err_str e)));
-    let dm_min_bytes = update_size cmin.Create.update in
-    let dm_whole_bytes = update_size cwhole.Create.update in
-    if dm_min_bytes > dm_whole_bytes then
-      note "minimal update larger than whole-unit (%d > %d)" dm_min_bytes
-        dm_whole_bytes;
+    let min_bytes = update_size cmin.Create.update in
+    let whole_bytes = update_size cwhole.Create.update in
+    if min_bytes > whole_bytes then
+      note "minimal update larger than whole-unit (%d > %d)" min_bytes
+        whole_bytes;
     if min_trials > whole_trials then
       note "minimal apply tried more candidates (%d > %d)" min_trials
         whole_trials;
-    {
-      dm_cve = cve.id;
-      dm_min_bytes;
-      dm_whole_bytes;
-      dm_min_syms = defined_syms cmin.Create.update.primary;
-      dm_whole_syms = defined_syms cwhole.Create.update.primary;
-      dm_min_trials = min_trials;
-      dm_whole_trials = whole_trials;
-      dm_closure;
-      dm_data_ref;
-      dm_notes = !notes;
-    }
-  | _ ->
-    {
-      dm_cve = cve.id;
-      dm_min_bytes = 0;
-      dm_whole_bytes = 0;
-      dm_min_syms = 0;
-      dm_whole_syms = 0;
-      dm_min_trials = 0;
-      dm_whole_trials = 0;
-      dm_closure = false;
-      dm_data_ref = false;
-      dm_notes = !notes;
-    }
+    ( (if closure then "C" else "-") ^ (if data_ref then "D" else "-"),
+      [ min_bytes; whole_bytes;
+        defined_syms cmin.Create.update.primary;
+        defined_syms cwhole.Create.update.primary;
+        min_trials; whole_trials;
+        (if closure then 1 else 0); (if data_ref then 1 else 0) ] )
+  in
+  let cells, figures =
+    match (Create.create req, Create.create ~minimal:false req) with
+    | Ok a, Ok b -> measure a b
+    | Error e, _ ->
+      note "minimal create failed: %a" Create.pp_error e;
+      ("--", List.init 8 (fun _ -> 0))
+    | _, Error e ->
+      note "whole-unit create failed: %a" Create.pp_error e;
+      ("--", List.init 8 (fun _ -> 0))
+  in
+  row ~cells cve.id
+    (List.combine
+       [ "min_bytes"; "whole_bytes"; "min_syms"; "whole_syms"; "min_trials";
+         "whole_trials"; "closure"; "data_ref" ]
+       figures)
+    !notes
 
 (* the Table-1 refusals: each data-init mainline patch (custom code
    stripped) whose initializer image genuinely changes must come back as
@@ -1973,91 +1528,106 @@ let dm_persist_rejects base =
       | _ -> acc)
     0 Cve.all
 
-let diffmin_cves () = Cve.all @ Cve.shadow_extras @ Cve.diff_extras
+(* whole-report contracts: at least one closure / data-referent /
+   refusal demo each, and the minimal updates cost strictly fewer bytes
+   and no more run-pre trials than the whole-unit baseline *)
+let diffmin_check t =
+  let n = get t in
+  let refused = dm_persist_rejects (Base_kernel.tree ()) in
+  List.filter_map
+    (fun (failed, msg) -> if failed then Some msg else None)
+    [ (n "closure" < 1, "no row shipped a symbol by dependency closure");
+      (n "data_ref" < 1, "no row shipped a function as a data referent");
+      ( n "min_bytes" >= n "whole_bytes",
+        Printf.sprintf "minimal updates cost %d bytes, whole-unit %d"
+          (n "min_bytes") (n "whole_bytes") );
+      ( n "min_trials" > n "whole_trials",
+        Printf.sprintf "minimal applies tried %d candidates, whole-unit %d"
+          (n "min_trials") (n "whole_trials") );
+      ( refused < 1,
+        Printf.sprintf
+          "%d Table-1 data-init mainline patches refused as \
+           Data_semantics_changed, expected at least 1"
+          refused ) ]
 
-let run_diffmin ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> diffmin_cves () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (cve : Cve.t) ->
-        let row = run_dmrow cve base in
-        emit
-          (Printf.sprintf "%-14s %5d/%5d B  %3d/%3d trials%s%s%s" row.dm_cve
-             row.dm_min_bytes row.dm_whole_bytes row.dm_min_trials
-             row.dm_whole_trials
-             (if row.dm_closure then " C" else "")
-             (if row.dm_data_ref then " D" else "")
-             (if row.dm_notes = [] then "" else "  VIOLATION"));
-        row)
-      cves
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
-  {
-    dm_rows = rows;
-    dm_bytes_min = sum (fun r -> r.dm_min_bytes);
-    dm_bytes_whole = sum (fun r -> r.dm_whole_bytes);
-    dm_trials_min = sum (fun r -> r.dm_min_trials);
-    dm_trials_whole = sum (fun r -> r.dm_whole_trials);
-    dm_closure_demos =
-      List.length (List.filter (fun r -> r.dm_closure) rows);
-    dm_dataref_demos =
-      List.length (List.filter (fun r -> r.dm_data_ref) rows);
-    dm_persist_rejects = dm_persist_rejects base;
-    dm_violations = sum (fun r -> List.length r.dm_notes);
-  }
+(* ---------- the registry ---------- *)
 
-let diffmin_ok r =
-  r.dm_violations = 0
-  && r.dm_closure_demos >= 1
-  && r.dm_dataref_demos >= 1
-  && r.dm_persist_rejects >= 1
-  && r.dm_bytes_min < r.dm_bytes_whole
-  && r.dm_trials_min <= r.dm_trials_whole
+let all =
+  [
+    { name = "fault";
+      doc =
+        "inject the canonical fault at every apply step of each CVE and \
+         demand a byte-identical rollback, then a clean re-apply that \
+         verifies, survives stress and blocks the exploit (default: all \
+         64 CVEs; cells in step order: R rolled back, B benign, - never \
+         fired, ! violation)";
+      rows = cve_rows ~sweep:"fault" ~default:(fun () -> Cve.all) fault_row;
+      check = no_check };
+    { name = "manager";
+      doc =
+        "push each CVE through the supervised manager under an injected \
+         fault, an adversarial squatting thread and a failing health \
+         probe; every cell must end terminal with clean rollback audits \
+         (default: all 64 CVEs; cells I/A/U: H healthy, P parked, Q \
+         quarantined, W still waiting)";
+      rows = cve_rows ~sweep:"manager" ~default:(fun () -> Cve.all) manager_row;
+      check = no_check };
+    { name = "crash";
+      doc =
+        "publish each CVE into an on-disk repository with a crash at \
+         every mutating I/O op, then reopen and demand fsck-clean \
+         all-or-nothing recovery and a safe GC (default: every 8th CVE)";
+      rows = cve_rows ~sweep:"crash" ~default:every_8th crash_row;
+      check = no_check };
+    { name = "transition";
+      doc =
+        "apply and undo each CVE under load through the per-thread model \
+         against a stop_machine twin: zero pause, identical footprints, \
+         a forced straggler converging through the bounded fallback \
+         (default: every 8th CVE)";
+      rows = cve_rows ~sweep:"transition" ~default:every_8th transition_row;
+      check = no_check };
+    { name = "fleet";
+      doc =
+        "sync each CVE's published chain with every transport fault at \
+         every wire frame: byte-identical convergence, fsck-clean \
+         mirrors, no redundant transfers, graceful degradation (default: \
+         every 8th CVE)";
+      rows = cve_rows ~sweep:"fleet" ~default:every_8th fleet_cve;
+      check = no_check };
+    { name = "cumulative";
+      doc =
+        "collapse corpus chains of each depth into one cumulative update: \
+         footprint parity with the undo-then-apply twin, a fault at every \
+         step rolling back the whole collapse, undo re-stacking the \
+         chain; shadow-extra rows round-trip \u{00a7}5.3 shadow variables \
+         (default: depths 1, 8, 32 and both shadow extras; cells as in \
+         fault)";
+      rows = cumulative_rows;
+      check = no_check };
+    { name = "diffmin";
+      doc =
+        "create each update minimal and whole-unit: the minimal one must \
+         apply, verify, survive stress, block its exploit and explain \
+         every shipped symbol at no more bytes or run-pre trials \
+         (default: all CVEs plus the shadow and differencing extras; \
+         cells: C dependency-closure demo, D data-referent demo)";
+      rows =
+        cve_rows ~sweep:"diffmin"
+          ~default:(fun () -> Cve.all @ Cve.shadow_extras @ Cve.diff_extras)
+          (fun ~seed:_ _ cve base -> run_dmrow cve base);
+      check = diffmin_check };
+  ]
 
-let pp_diffmin ppf r =
-  Format.fprintf ppf
-    "minimal-differencing sweep: %d rows, function-granular vs \
-     whole-unit@\n@\n"
-    (List.length r.dm_rows);
-  Format.fprintf ppf "%-16s %10s %10s %8s %8s  demo@\n" "cve" "min B"
-    "whole B" "min try" "whole try";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %10d %10d %8d %8d  %s%s%s@\n" row.dm_cve
-        row.dm_min_bytes row.dm_whole_bytes row.dm_min_trials
-        row.dm_whole_trials
-        (if row.dm_closure then "C" else "-")
-        (if row.dm_data_ref then "D" else "-")
-        (if row.dm_notes = [] then "" else "  VIOLATION"))
-    r.dm_rows;
-  Format.fprintf ppf
-    "@\nbytes: %d minimal vs %d whole-unit (%.0f%% saved)@\n" r.dm_bytes_min
-    r.dm_bytes_whole
-    (100.
-    *. (1. -. (float_of_int r.dm_bytes_min /. float_of_int r.dm_bytes_whole))
-    );
-  Format.fprintf ppf "run-pre trials: %d minimal vs %d whole-unit@\n"
-    r.dm_trials_min r.dm_trials_whole;
-  Format.fprintf ppf
-    "closure demos: %d  data-referent demos: %d  data-init refusals: %d@\n"
-    r.dm_closure_demos r.dm_dataref_demos r.dm_persist_rejects;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.dm_cve m)
-        row.dm_notes)
-    r.dm_rows;
-  if diffmin_ok r then
-    Format.fprintf ppf
-      "every minimal update applied, verified, stressed clean and blocked \
-       its exploit at a fraction of the whole-unit cost@\n"
+let find name =
+  match List.find_opt (fun sw -> String.equal sw.name name) all with
+  | Some sw -> Ok sw
+  | None -> Error (Unknown_sweep name)
+
+let pp_error ppf = function
+  | Unknown_sweep name ->
+    Format.fprintf ppf "unknown sweep %S (one of: %s)" name
+      (String.concat ", " (List.map (fun sw -> sw.name) all))
+  | Unknown_row { sweep; key; expected } ->
+    Format.fprintf ppf "sweep %s has no row %S: expected %s" sweep key
+      expected

@@ -1,419 +1,102 @@
-(** The systematic fault-injection sweep: for every CVE in the corpus,
-    inject the canonical fault at each apply-pipeline step, assert
-    crash-consistent rollback (byte-identical machine), then re-apply
-    fault-free and confirm the patched kernel still survives the stress
-    workload and blocks its exploit.
+(** The corpus robustness sweeps, behind one engine.
 
-    The sweep is fully deterministic in [seed]; a failing cell can be
-    replayed with [Faultinj.make] and the printed plan. *)
+    A sweep runs one procedure over a list of rows — usually corpus
+    CVEs — on fresh machines, and every row either passes or carries
+    notes saying which contract it broke. The seven sweeps ({!all}) are:
 
-(** Outcome of one (CVE, step) cell. *)
-type cell =
-  | Rolled_back
-      (** the fault fired, apply aborted, and the machine was
-          byte-identical to its pre-apply snapshot *)
-  | Benign
-      (** a non-aborting fault ([Sched_perturb]) fired and apply still
-          succeeded and verified *)
-  | Not_applicable
-      (** the armed fault never fired (e.g. a hook fault on an update
-          with no hooks at that step); apply succeeded and was undone *)
-  | Violation of string list
-      (** rollback or abort contract broken; the diagnostics *)
+    - [fault]: the canonical fault at every apply-pipeline step, a
+      byte-identical rollback each time, then a clean re-apply that
+      verifies, survives stress and blocks the exploit (§5.2);
+    - [manager]: every CVE through the supervised manager under an
+      injected fault, an adversarial squatting thread and a failing
+      health probe: it must reach a terminal state with clean audits;
+    - [crash]: a publish killed at every mutating I/O op, then an
+      fsck-clean, all-or-nothing recovery and a safe GC;
+    - [transition]: apply and undo mid-stress through the per-thread
+      model against a stop_machine twin: zero pause, identical
+      footprints, a forced straggler converging through the fallback;
+    - [fleet]: every transport fault at every wire frame of a chain
+      sync: byte-identical convergence, clean mirrors, no redundant
+      transfers, graceful degradation;
+    - [cumulative]: collapsed chains at several depths (footprint
+      parity, whole-collapse rollback at every step, undo re-stacks the
+      chain) plus the §5.3 shadow-variable round trips;
+    - [diffmin]: each update minimal and whole-unit, the minimal one
+      complete and never dearer.
 
-val cell_char : cell -> char
-(** [R]olled-back, [B]enign, [-] not applicable, [!] violation. *)
+    Every sweep is deterministic in its seed: each row derives its own
+    seed from the sweep seed and its position, so a row reruns alone
+    with the same outcome. *)
 
+(** One row's outcome. *)
 type row = {
-  cve_id : string;
-  cells : (Ksplice.Txn.step * cell) list;  (** in pipeline order *)
-  recovered : bool;
-      (** after the faulted cells: clean apply + verify + stress (+
-          exploit blocked, where one exists) all passed *)
-  notes : string list;  (** recovery diagnostics when [recovered = false] *)
+  key : string;  (** the row key: a CVE id, or a chain depth *)
+  cells : string;  (** one character per cell; the sweep's doc explains them *)
+  counters : (string * int) list;  (** named figures, in a fixed order *)
+  notes : string list;  (** broken contracts; [[]] = the row passed *)
+  detail : Report.Json.t;
+      (** structured evidence: the manager event logs, the collapsed
+          chain; [Null] when the sweep keeps none *)
+}
+
+(** Counters summed over all rows, in first-appearance order, after a
+    leading ["rows"] count. *)
+type totals = (string * int) list
+
+type error =
+  | Unknown_sweep of string
+  | Unknown_row of { sweep : string; key : string; expected : string }
+
+val pp_error : Format.formatter -> error -> unit
+
+type t = {
+  name : string;
+  doc : string;
+  rows : seed:int -> string list -> ((unit -> row) list, error) result;
+      (** parse row keys into row thunks; [[]] is the default sample *)
+  check : totals -> string list;
+      (** contracts on the whole report; [[]] = they hold *)
 }
 
 type report = {
-  rows : row list;
-  total_cells : int;
-  rolled_back : int;
-  benign : int;
-  not_applicable : int;
-  violations : int;
-  recovery_failures : int;
+  sweep : string;
+  seed : int;
+  rows : row list;  (** in key order *)
+  totals : totals;
+  failures : string list;  (** what [check] found *)
 }
 
-(** [run ?seed ?cves ?progress ?domains ()] sweeps [cves] (default: all
-    64). Each CVE runs on its own freshly booted machine; rows are
-    independent, so the sweep fans out across up to [domains] domains
-    (default {!Parallel.default_domains}; [1] forces a serial sweep).
-    [progress] (if given) receives one line per CVE as it completes —
-    in completion order, which under parallelism need not be corpus
-    order; the returned [rows] always are. *)
+(** fault, manager, crash, transition, fleet, cumulative, diffmin. *)
+val all : t list
+
+val find : string -> (t, error) result
+
+(** [run ?seed ?keys ?progress ?domains sweep] runs the rows named by
+    [keys] (default: the sweep's sample) across up to [domains] domains
+    (default {!Parallel.default_domains}; [1] is serial). [progress]
+    receives one line per row as it finishes, in completion order; the
+    report keeps key order and does not depend on [domains]. *)
 val run :
   ?seed:int ->
-  ?cves:Cve.t list ->
+  ?keys:string list ->
   ?progress:(string -> unit) ->
   ?domains:int ->
-  unit ->
-  report
+  t ->
+  (report, error) result
 
-(** No violations and every CVE recovered. *)
+(** Every row passed and [check] found nothing. *)
 val ok : report -> bool
 
-(** {1 The supervised (manager-level) sweep}
+(** A report's total for one counter (0 when absent). *)
+val total : report -> string -> int
 
-    The cells above prove §5.2 for a single transactional apply; this
-    sweep proves the supervision loop around it. Every CVE is pushed
-    through {!Manager.t} under three hostile regimes and must reach a
-    terminal state (liveness) with clean rollback audits (safety). *)
+(** The row lines, the totals, a [VIOLATION] line per note and failure,
+    and a closing verdict. *)
+val pp : Format.formatter -> report -> unit
 
-type scenario =
-  | Injected
-      (** one canonical fault (step chosen deterministically from the
-          seed) armed for the first apply attempt only: abort faults
-          must park the update, the transient quiescence veto must heal
-          through the retry queue, benign perturbation must not matter *)
-  | Adversarial
-      (** a thread parked at the entry of a to-be-replaced function
-          blocks §5.2 quiescence until the manager's backoff drains
-          it: the watchdog and retry queue do the work *)
-  | Unhealthy
-      (** a canary health probe always fails: the gate must unwind the
-          probes, auto-revert, and quarantine with the evidence *)
+(** The [ksplice-sweep/1] JSON document. *)
+val to_json : report -> Report.Json.t
 
-val all_scenarios : scenario list
-val scenario_name : scenario -> string
-
-type mcell = {
-  mc_status : Manager.status;  (** terminal state the cell reached *)
-  mc_attempts : int;
-  mc_clock : int;  (** manager steps driven *)
-  mc_events : int;
-  mc_violations : int;  (** rollback-audit failures (must be 0) *)
-  mc_notes : string list;  (** contract breaches; [[]] = cell passed *)
-  mc_report : Report.Json.t;  (** the cell's full manager event log *)
-}
-
-type mrow = {
-  m_cve : string;
-  m_cells : (scenario * mcell) list;
-}
-
-type mreport = {
-  m_rows : mrow list;
-  m_cells_total : int;
-  m_healthy : int;
-  m_parked : int;
-  m_quarantined : int;
-  m_violations : int;
-  m_failures : int;
-}
-
-(** [run_manager ?seed ?cves ?scenarios ?progress ?domains ()] — same
-    fan-out discipline as {!run}: one freshly booted machine per
-    (CVE, scenario) cell, rows parallel across the domain pool,
-    deterministic in [seed]. *)
-val run_manager :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?scenarios:scenario list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  mreport
-
-(** Zero contract failures and zero audit violations. *)
-val manager_ok : mreport -> bool
-
-val pp_manager : Format.formatter -> mreport -> unit
-
-(** The step × fault matrix: one row per CVE, one column per pipeline
-    step, plus totals and a closing verdict line. *)
-val pp_matrix : Format.formatter -> report -> unit
-
-(** {1 The crash sweep: persistence under process death}
-
-    The filesystem analogue of {!run}: each sampled CVE's update is
-    published into a fresh on-disk repository with a hard crash
-    ({!Vfs.Crash}) injected at every i-th mutating I/O operation. After
-    each crash the directory is reopened with a clean handle (the
-    reboot); the recovered store must pass fsck, the chain must be
-    atomically all-or-nothing (never half-published, never a dangling
-    ref), and a garbage collection must reclaim every unreachable blob
-    and none of the chain. A fault-free probe run per CVE sizes the
-    sweep and proves publish→sync end to end. *)
-
-type crow = {
-  cr_cve : string;
-  cr_ops : int;  (** mutating I/O ops in a fault-free publish *)
-  cr_published : int;  (** crash points after which the chain survived whole *)
-  cr_absent : int;  (** crash points after which it vanished atomically *)
-  cr_gc_swept : int;  (** blobs reclaimed by the per-cell GCs *)
-  cr_gc_bytes : int;  (** bytes reclaimed by the per-cell GCs *)
-  cr_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type crash_report = {
-  c_rows : crow list;
-  c_cells : int;  (** total crash points exercised *)
-  c_published : int;
-  c_absent : int;
-  c_violations : int;
-  c_gc_swept : int;
-  c_gc_bytes : int;
-}
-
-(** [run_crash ?seed ?cves ?progress ?domains ()] sweeps [cves]
-    (default: every 8th corpus CVE — a deterministic 8-CVE sample; each
-    row costs one publish+recover+gc round per I/O op). Same fan-out
-    and determinism discipline as {!run}. *)
-val run_crash :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  crash_report
-
-(** The default sample {!run_crash} sweeps: every 8th corpus CVE. *)
-val crash_sample : unit -> Cve.t list
-
-(** No violations at any crash point. *)
-val crash_ok : crash_report -> bool
-
-val pp_crash : Format.formatter -> crash_report -> unit
-
-(** {1 The transition sweep: patch under load with no global pause}
-
-    Twin machines run the same busy multi-threaded stress workload;
-    mid-flight, machine A applies the CVE's update through the
-    per-thread engagement ({!Manager.Transition.engage}) and machine B
-    through the paper's §5.2 stop_machine loop. Contracts per row:
-
-    - both workloads keep every invariant across the live patch;
-    - the per-thread apply converges with {e zero} simulated pause, no
-      forced migrations, and no fallback;
-    - both machines end with byte-identical patch footprints
-      ([Apply.footprint]);
-    - the reverse transition (undo under load) restores the saved entry
-      bytes exactly and the footprints agree again;
-    - a forced straggler — a thread parked asleep inside the patched
-      function — demotes the engagement to the bounded stop_machine
-      fallback, which must converge, force-migrate it, and still land
-      the identical footprint. *)
-
-type trow = {
-  t_cve : string;
-  t_threads : int;  (** threads alive when the transition began *)
-  t_pause_ns : int;  (** per-thread apply pause (0 = pauseless) *)
-  t_undo_pause_ns : int;  (** reverse-transition pause *)
-  t_base_pause_ns : int;  (** stop_machine baseline pause under load *)
-  t_migrated : (string * int) list;  (** safe-point class -> threads *)
-  t_rounds : int;  (** migration rounds of the per-thread apply *)
-  t_sched_steps : int;  (** instructions the machine ran meanwhile *)
-  t_straggler_forced : int;  (** forced migrations in the straggler cell *)
-  t_straggler_pause_ns : int;  (** fallback pause in the straggler cell *)
-  t_notes : string list;  (** contract breaches; [[]] = row passed *)
-}
-
-type treport = {
-  t_rows : trow list;
-  t_pauseless : int;  (** rows whose per-thread apply never paused *)
-  t_fallbacks : int;  (** straggler cells that engaged the fallback *)
-  t_violations : int;
-}
-
-(** [run_transition ?cves ?progress ?domains ()] sweeps [cves] (default:
-    {!transition_sample}). Same fan-out discipline as {!run}; the sweep
-    is deterministic (the machines are). *)
-val run_transition :
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  treport
-
-(** The default sample {!run_transition} sweeps: every 8th corpus CVE. *)
-val transition_sample : unit -> Cve.t list
-
-(** No contract breaches on any row. *)
-val transition_ok : treport -> bool
-
-val pp_transition : Format.formatter -> treport -> unit
-
-(** {1 The fleet sweep: distribution under transport faults}
-
-    The wire analogue of {!run_crash}: for each sampled CVE a server
-    repository publishes a short stacked chain (the CVE plus the next
-    corpus CVEs still applicable to the patched tree, at most three
-    hops). A fault-free probe sync counts the frames a full mirror
-    costs; then {e every} {!Fleet.Transport.fault_kind} is injected at
-    {e every} frame index, and a fresh subscriber must still converge —
-    retried sync byte-identical to the server's chain refs, mirror
-    fsck-clean, zero redundant blob transfers — deterministically in
-    [seed]. One extra cell per row proves graceful degradation: with the
-    server unreachable the subscriber keeps its old head over a
-    fsck-clean store. *)
-
-type frow = {
-  fl_cve : string;
-  fl_depth : int;  (** entries published on the server chain *)
-  fl_frames : int;  (** frames crossing the wire in a fault-free sync *)
-  fl_cells : int;  (** (fault kind × frame) cells plus the degraded cell *)
-  fl_retried : int;  (** cells that needed more than one attempt *)
-  fl_bytes_saved : int;  (** bytes resume skipped re-downloading *)
-  fl_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type fleet_report = {
-  fl_rows : frow list;
-  fl_total_cells : int;
-  fl_total_retried : int;
-  fl_total_saved : int;
-  fl_violations : int;
-}
-
-(** [run_fleet ?seed ?cves ?progress ?domains ()] — same fan-out and
-    determinism discipline as {!run_crash}. *)
-val run_fleet :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  fleet_report
-
-(** The default sample {!run_fleet} sweeps: every 8th corpus CVE. *)
-val fleet_sample : unit -> Cve.t list
-
-(** No violations in any cell. *)
-val fleet_ok : fleet_report -> bool
-
-val pp_fleet : Format.formatter -> fleet_report -> unit
-
-(** {1 The cumulative sweep: atomic replace at depth}
-
-    For each requested depth [k] a chain of [k] corpus CVEs (each still
-    applicable to the successively patched tree) is published into a
-    repository and collapsed with {!Ksplice.Repository.publish_cumulative}.
-    Contracts per row:
-
-    - the collapse's [supersedes] lists exactly the chain ids, oldest
-      first;
-    - on a machine carrying the stacked chain,
-      {!Ksplice.Apply.apply_cumulative} lands a footprint byte-identical
-      to the undo-then-plain-apply twin;
-    - undoing the collapse re-stacks the original chain;
-    - a fault injected at every {!Ksplice.Txn.step} aborts the whole
-      collapse — unwind and install alike — back to the byte-identical
-      stacked machine;
-    - the repository (per-update chain plus cumulative entry) passes
-      fsck.
-
-    The shadow rows prove §5.3 end to end for {!Cve.shadow_extras}:
-    patch (the ctor attaches the side table), exploit blocked, collapse
-    and un-collapse keep the shadows live, the final undo runs the dtors
-    and the exploit returns. *)
-
-type curow = {
-  cu_requested : int;
-  cu_depth : int;  (** chain entries actually published *)
-  cu_chain : string list;  (** update ids, oldest first *)
-  cu_cells : (Ksplice.Txn.step * cell) list;
-  cu_fsck_clean : bool;
-  cu_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type cushadow = {
-  cs_cve : string;
-  cs_shadows : int;  (** shadow bindings live after the collapse *)
-  cs_notes : string list;
-}
-
-type cumulative_report = {
-  cu_rows : curow list;
-  cu_shadows : cushadow list;
-  cu_total_cells : int;
-  cu_rolled_back : int;
-  cu_violations : int;
-}
-
-(** The default depths {!run_cumulative} sweeps: [1; 8; 32]. *)
-val cumulative_depths : int list
-
-(** [run_cumulative ?seed ?depths ?progress ?domains ()] — same fan-out
-    and determinism discipline as {!run}. A depth row publishes as many
-    chain entries as the corpus still yields ([cu_depth] ≤
-    [cu_requested] — the shortfall is reported, not hidden). *)
-val run_cumulative :
-  ?seed:int ->
-  ?depths:int list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  cumulative_report
-
-(** No violations in any row. *)
-val cumulative_ok : cumulative_report -> bool
-
-val pp_cumulative : Format.formatter -> cumulative_report -> unit
-
-(** {1 The minimal-differencing sweep}
-
-    For every corpus CVE plus the shadow and differencing extras, the
-    update is created twice — function-granular minimal (the default)
-    and whole-unit baseline ([~minimal:false]) — and the minimal one is
-    proven complete: it applies, verifies, survives stress, blocks the
-    CVE's exploit where one is registered, lands a deterministic
-    footprint on twin boots, and every defined symbol of its primary
-    carries an inclusion reason. Alongside, the sweep measures what
-    minimality buys (update bytes, run-pre candidate trials) and counts
-    the engine's qualitative demos: symbols shipped by dependency
-    closure, functions shipped as data referents, and Table-1 data-init
-    mainline patches refused as {!Ksplice.Create.Data_semantics_changed}
-    with the datum named. *)
-
-type dmrow = {
-  dm_cve : string;
-  dm_min_bytes : int;
-  dm_whole_bytes : int;
-  dm_min_syms : int;  (** defined symbols shipped in the minimal primary *)
-  dm_whole_syms : int;
-  dm_min_trials : int;  (** run-pre candidate trials during apply *)
-  dm_whole_trials : int;
-  dm_closure : bool;  (** some symbol shipped by dependency closure *)
-  dm_data_ref : bool;  (** some function shipped as a data referent *)
-  dm_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type dm_report = {
-  dm_rows : dmrow list;
-  dm_bytes_min : int;
-  dm_bytes_whole : int;
-  dm_trials_min : int;
-  dm_trials_whole : int;
-  dm_closure_demos : int;
-  dm_dataref_demos : int;
-  dm_persist_rejects : int;
-      (** Table-1 mainline patches refused as [Data_semantics_changed] *)
-  dm_violations : int;
-}
-
-(** The default rows: {!Cve.all} plus {!Cve.shadow_extras} plus
-    {!Cve.diff_extras}. *)
-val diffmin_cves : unit -> Cve.t list
-
-val run_diffmin :
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  dm_report
-
-(** No violations, at least one closure / data-referent / refusal demo
-    each, and the minimal updates cost strictly fewer bytes (and no more
-    run-pre trials) than the whole-unit baseline. *)
-val diffmin_ok : dm_report -> bool
-
-val pp_diffmin : Format.formatter -> dm_report -> unit
+(** Inverse of {!to_json}. Total: any other document, however
+    truncated or retyped, is an [Error] naming what is wrong. *)
+val of_json : Report.Json.t -> (report, string) result

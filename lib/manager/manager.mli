@@ -188,6 +188,6 @@ val violations : t -> int
 val event_json : Event.t -> Report.Json.t
 
 (** The event log and terminal statuses as a JSON document
-    ([ksplice-manager/1] schema), for [ksplice-tool manager-run
-    --out] / [manager-report]. *)
+    ([ksplice-manager/1] schema), kept in the [detail] of each
+    [ksplice-tool sweep manager --out] report row. *)
 val report : t -> Report.Json.t

@@ -177,6 +177,49 @@ let test_custom_quota_fixup () =
   check Alcotest.int32 "uid0 quota fixed by hook" 4096l
     (Corpus.Boot.read_global b "quota_table")
 
+(* a later update of a unit must not re-ship an earlier update's hook
+   notes: the three kernel/random.c fixes stack and unstack cleanly, and
+   only the first (which adds a ksplice_apply hook) carries hook notes *)
+let test_stacked_hooks_ship_once () =
+  let b = Corpus.Boot.boot () in
+  let mgr = Apply.init b.machine in
+  let ids = [ "CVE-2005-3179"; "CVE-2007-3122"; "CVE-2008-3147" ] in
+  let tree = ref (base ()) in
+  List.iter
+    (fun id ->
+      let cve = Option.get (Corpus.Cve.find id) in
+      let patch = Corpus.Cve.hot_patch cve !tree in
+      let u =
+        match
+          Create.create
+            { source = !tree; patch; update_id = id; description = cve.desc }
+        with
+        | Ok c -> c.update
+        | Error e -> Alcotest.failf "%s: create failed: %a" id Create.pp_error e
+      in
+      let hook_notes =
+        List.filter
+          (fun (s : Objfile.Section.t) ->
+            String.starts_with ~prefix:".ksplice." s.name)
+          u.primary.sections
+      in
+      check Alcotest.bool
+        (id ^ " carries hook notes")
+        (String.equal id "CVE-2005-3179")
+        (hook_notes <> []);
+      (match Apply.apply mgr u with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "%s: apply failed: %a" id Apply.pp_error e);
+      tree := Result.get_ok (Diff.apply patch !tree))
+    ids;
+  List.iter
+    (fun id ->
+      match Apply.undo mgr id with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: undo failed: %a" id Apply.pp_error e)
+    (List.rev ids);
+  check Alcotest.int "stack empty" 0 (List.length (Apply.applied mgr))
+
 let test_custom_tz_fixup () =
   let b = Corpus.Boot.boot () in
   let cve = Option.get (Corpus.Cve.find "CVE-2007-3851") in
@@ -344,6 +387,7 @@ let suite =
         t "stress across update" test_stress_across_update;
         t "custom quota fixup" test_custom_quota_fixup;
         t "custom tz fixup" test_custom_tz_fixup;
+        t "stacked updates ship a hook once" test_stacked_hooks_ship_once;
         t "shadow struct field" test_shadow_struct_field;
         t "patch size distribution" test_patch_size_distribution;
         t "custom code lines" test_custom_code_lines;

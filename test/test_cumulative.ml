@@ -212,25 +212,40 @@ let test_fault_rolls_back_whole_collapse () =
     Txn.all_steps
 
 let test_sweep_shallow () =
-  let r = Corpus.Sweep.run_cumulative ~depths:[ 1; 2 ] () in
-  if not (Corpus.Sweep.cumulative_ok r) then
-    Alcotest.failf "cumulative sweep: %a" Corpus.Sweep.pp_cumulative r;
-  Alcotest.(check int) "both depth rows ran" 2 (List.length r.cu_rows);
+  let shadows =
+    List.map (fun (c : Corpus.Cve.t) -> c.id) Corpus.Cve.shadow_extras
+  in
+  let sw = Result.get_ok (Corpus.Sweep.find "cumulative") in
+  let r =
+    match Corpus.Sweep.run ~keys:([ "1"; "2" ] @ shadows) sw with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%a" Corpus.Sweep.pp_error e
+  in
+  if not (Corpus.Sweep.ok r) then
+    Alcotest.failf "cumulative sweep: %a" Corpus.Sweep.pp r;
+  let counter (row : Corpus.Sweep.row) k = List.assoc k row.counters in
+  let shadow_rows, depth_rows =
+    List.partition
+      (fun (row : Corpus.Sweep.row) -> List.mem row.key shadows)
+      r.rows
+  in
+  Alcotest.(check (list string)) "both depth rows ran" [ "1"; "2" ]
+    (List.map (fun (row : Corpus.Sweep.row) -> row.key) depth_rows);
   List.iter
-    (fun (row : Corpus.Sweep.curow) ->
+    (fun (row : Corpus.Sweep.row) ->
       Alcotest.(check int)
-        (Printf.sprintf "depth %d fully published" row.cu_requested)
-        row.cu_requested row.cu_depth;
-      Alcotest.(check bool) "fsck clean" true row.cu_fsck_clean)
-    r.cu_rows;
+        (Printf.sprintf "depth %s fully published" row.key)
+        (int_of_string row.key) (counter row "depth");
+      Alcotest.(check int) "fsck clean" 1 (counter row "fsck_clean"))
+    depth_rows;
   Alcotest.(check int) "both shadow extras round-tripped" 2
-    (List.length r.cu_shadows);
+    (List.length shadow_rows);
   List.iter
-    (fun (row : Corpus.Sweep.cushadow) ->
+    (fun (row : Corpus.Sweep.row) ->
       Alcotest.(check bool)
-        (row.cs_cve ^ " attached shadows")
-        true (row.cs_shadows > 0))
-    r.cu_shadows
+        (row.key ^ " attached shadows")
+        true (counter row "shadows" > 0))
+    shadow_rows
 
 let suite =
   [

@@ -2,7 +2,7 @@
    retry queue, the health gate with auto-revert, and the structured
    event log. Each test boots the tiny two-function kernel from the
    fault-injection suite; the corpus-wide behaviour is covered by the
-   manager sweep (Corpus.Sweep.run_manager). *)
+   manager sweep (the "manager" entry of Corpus.Sweep). *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -317,27 +317,24 @@ let test_cumulative_health_gate_restores_stack () =
 (* --- a quick slice of the corpus-wide supervised sweep --- *)
 
 let test_manager_sweep_subset () =
-  let cves =
-    List.filter
-      (fun (c : Corpus.Cve.t) ->
-        List.mem c.id [ "CVE-2006-2451"; "CVE-2008-0007" ])
-      Corpus.Cve.all
-  in
-  let r = Corpus.Sweep.run_manager ~seed:5 ~cves ~domains:1 () in
-  Alcotest.(check int) "cells" 6 r.Corpus.Sweep.m_cells_total;
-  Alcotest.(check int) "no audit violations" 0 r.Corpus.Sweep.m_violations;
-  (match
-     List.concat_map
-       (fun (row : Corpus.Sweep.mrow) ->
-         List.concat_map
-           (fun (_, c) -> c.Corpus.Sweep.mc_notes)
-           row.Corpus.Sweep.m_cells)
-       r.Corpus.Sweep.m_rows
-   with
-   | [] -> ()
-   | notes -> Alcotest.failf "contract breaches:\n%s"
-                (String.concat "\n" notes));
-  Alcotest.(check bool) "sweep verdict" true (Corpus.Sweep.manager_ok r)
+  let sw = Result.get_ok (Corpus.Sweep.find "manager") in
+  match
+    Corpus.Sweep.run ~seed:5 ~keys:[ "CVE-2006-2451"; "CVE-2008-0007" ]
+      ~domains:1 sw
+  with
+  | Error e -> Alcotest.failf "%a" Corpus.Sweep.pp_error e
+  | Ok r ->
+    Alcotest.(check int) "cells" 6
+      (List.fold_left
+         (fun a (row : Corpus.Sweep.row) -> a + String.length row.cells)
+         0 r.rows);
+    Alcotest.(check int) "no audit violations" 0
+      (Corpus.Sweep.total r "audit_violations");
+    (match List.concat_map (fun (row : Corpus.Sweep.row) -> row.notes) r.rows with
+     | [] -> ()
+     | notes -> Alcotest.failf "contract breaches:\n%s"
+                  (String.concat "\n" notes));
+    Alcotest.(check bool) "sweep verdict" true (Corpus.Sweep.ok r)
 
 let suite =
   [
