@@ -252,252 +252,6 @@ let cmd_demo cve_id =
         | None -> ());
        Printf.printf "\nDone.\n")
 
-(* bench-summary failures as data: a missing file or a missing section
-   is an ordinary, printable error — never a backtrace *)
-type summary_error =
-  | Summary_unreadable of { path : string; msg : string }
-  | Summary_missing_section of { path : string; section : string }
-
-let pp_summary_error ppf = function
-  | Summary_unreadable { path; msg } ->
-    Format.fprintf ppf
-      "%s: %s (regenerate with `dune build @bench` or bench/main.exe)" path
-      msg
-  | Summary_missing_section { path; section } ->
-    Format.fprintf ppf
-      "%s has no %S section (regenerate with `dune build @bench`, or check \
-       the section name against the ksplice-bench/2 schema)"
-      path section
-
-let cmd_bench_summary path only =
-  let module J = Report.Json in
-  match Report.Json.of_file path with
-  | Error msg -> Error (Summary_unreadable { path; msg })
-  | Ok doc when only <> None -> (
-    let section = Option.get only in
-    match J.member section doc with
-    | None | Some J.Null ->
-      Error (Summary_missing_section { path; section })
-    | Some j ->
-      print_endline (J.to_string j);
-      Ok ())
-  | Ok doc ->
-    let field obj k conv = Option.bind (J.member k obj) conv in
-    let str obj k = Option.value ~default:"?" (field obj k J.to_str) in
-    let istr obj k =
-      match field obj k J.to_int with
-      | Some n -> string_of_int n
-      | None -> "?"
-    in
-    let pct obj k =
-      match field obj k J.to_float with
-      | Some r -> Printf.sprintf "%.1f%%" (100.0 *. r)
-      | None -> "n/a"
-    in
-    Printf.printf "%s — %s run, %s domains (%s available)\n" (str doc "schema")
-      (str doc "mode") (istr doc "domains")
-      (istr doc "available_domains");
-    (match field doc "sections" J.to_list with
-     | None | Some [] -> ()
-     | Some sections ->
-       Printf.printf "\nsections (wall clock):\n";
-       List.iter
-         (fun s ->
-           match (field s "name" J.to_str, field s "wall_s" J.to_float) with
-           | Some name, Some w -> Printf.printf "  %-24s %9.3f s\n" name w
-           | _ -> ())
-         sections);
-    (match field doc "bechamel" J.to_list with
-     | None | Some [] -> ()
-     | Some rows ->
-       Printf.printf "\nmicro-benchmarks (Bechamel OLS):\n";
-       List.iter
-         (fun r ->
-           match (field r "name" J.to_str, field r "ns_per_run" J.to_float) with
-           | Some name, Some ns ->
-             if ns > 1e6 then
-               Printf.printf "  %-46s %10.3f ms/run\n" name (ns /. 1e6)
-             else if ns > 1e3 then
-               Printf.printf "  %-46s %10.3f us/run\n" name (ns /. 1e3)
-             else Printf.printf "  %-46s %10.1f ns/run\n" name ns
-           | _ -> ())
-         rows);
-    (match J.member "kbuild_cache" doc with
-     | None -> ()
-     | Some c ->
-       Printf.printf
-         "\nkbuild compile cache: %s hit rate (%s hits / %s misses, %s \
-          evictions, %s of %s entries used)\n"
-         (pct c "hit_rate") (istr c "hits") (istr c "misses")
-         (istr c "evictions") (istr c "entries") (istr c "capacity"));
-    (match J.member "kallsyms_index" doc with
-     | None -> ()
-     | Some i ->
-       Printf.printf "kallsyms name index:  %s hit rate (%s lookups)\n"
-         (pct i "hit_rate") (istr i "lookups"));
-    (match J.member "creation_sweep" doc with
-     | None | Some J.Null -> ()
-     | Some cs ->
-       let fstr k =
-         match field cs k J.to_float with
-         | Some f -> Printf.sprintf "%.3f" f
-         | None -> "?"
-       in
-       Printf.printf
-         "creation sweep:       %s CVEs — serial %s s, parallel %s s \
-          (%.2fx), identical=%s\n"
-         (istr cs "cves") (fstr "serial_wall_s") (fstr "parallel_wall_s")
-         (Option.value ~default:Float.nan (field cs "speedup" J.to_float))
-         (match J.member "identical" cs with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?"));
-    (match J.member "store" doc with
-     | None | Some J.Null -> ()
-     | Some st ->
-       let fstr k =
-         match field st k J.to_float with
-         | Some f -> Printf.sprintf "%.3f" f
-         | None -> "?"
-       in
-       Printf.printf
-         "artifact store:       %s CVEs — cold %s s, warm %s s (%.2fx), \
-          %s units skipped, dedup ratio %s, %s bytes saved, identical=%s; \
-          minimal diffs saved %s update bytes / %s symbols\n"
-         (istr st "cves") (fstr "cold_wall_s") (fstr "warm_wall_s")
-         (Option.value ~default:Float.nan (field st "speedup" J.to_float))
-         (istr st "skipped_units")
-         (pct st "dedup_ratio")
-         (istr st "bytes_saved")
-         (match J.member "identical" st with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?")
-         (istr st "diff_bytes_saved")
-         (istr st "skipped_symbols"));
-    (match J.member "trace" doc with
-     | None | Some J.Null -> ()
-     | Some tr ->
-       let fstr k =
-         match field tr k J.to_float with
-         | Some f -> Printf.sprintf "%.3f" f
-         | None -> "?"
-       in
-       let bstr k =
-         match J.member k tr with
-         | Some (J.Bool b) -> string_of_bool b
-         | _ -> "?"
-       in
-       Printf.printf
-         "tracing overhead:     %s CVEs — untraced %s s, traced %s s \
-          (%sx, budget %s, within=%s), identical=%s, %s records\n"
-         (istr tr "cves") (fstr "untraced_wall_s") (fstr "traced_wall_s")
-         (fstr "overhead") (fstr "budget") (bstr "within_budget")
-         (bstr "identical") (istr tr "records"));
-    (* one generic printer for every sweep entry: totals as counters,
-       scalar figures as they are, numeric lists as percentiles, numeric
-       objects as key=value lists *)
-    (match field doc "sweeps" J.to_list with
-     | None | Some [] -> ()
-     | Some entries ->
-       Printf.printf "sweeps:\n";
-       let percentile sorted p =
-         let n = Array.length sorted in
-         if n = 0 then 0
-         else
-           sorted.(min (n - 1)
-                     (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1))
-       in
-       let ints = function
-         | J.Obj kvs ->
-           Some
-             (List.filter_map
-                (fun (k, v) -> Option.map (fun n -> (k, n)) (J.to_int v))
-                kvs)
-         | _ -> None
-       in
-       let kv_line kvs =
-         String.concat " "
-           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) kvs)
-       in
-       List.iter
-         (fun e ->
-           Printf.printf "  %-11s ok=%s %s\n" (str e "name")
-             (match J.member "ok" e with
-              | Some (J.Bool b) -> string_of_bool b
-              | _ -> "?")
-             (kv_line (Option.value ~default:[] (field e "totals" ints)));
-           List.iter
-             (fun (k, v) ->
-               match v with
-               | J.Num f -> Printf.printf "    %-20s %g\n" k f
-               | J.Bool b -> Printf.printf "    %-20s %b\n" k b
-               | J.Arr l ->
-                 let a = Array.of_list (List.filter_map J.to_int l) in
-                 Array.sort compare a;
-                 Printf.printf "    %-20s p50 %d  p99 %d  max %d\n" k
-                   (percentile a 50.0) (percentile a 99.0)
-                   (percentile a 100.0)
-               | J.Obj _ ->
-                 Printf.printf "    %-20s %s\n" k
-                   (kv_line (Option.value ~default:[] (ints v)))
-               | _ -> ())
-             (match J.member "figures" e with
-              | Some (J.Obj kvs) -> kvs
-              | _ -> []))
-         entries);
-    (match J.member "fleet" doc with
-     | None | Some J.Null -> ()
-     | Some fl ->
-       let fstr fmt k =
-         match field fl k J.to_float with
-         | Some f -> Printf.sprintf fmt f
-         | None -> "?"
-       in
-       Printf.printf
-         "fleet sync:           %s subscribers over a depth-%s chain — %s \
-          synced at %s subscribers/s (wall %s s)\n"
-         (istr fl "subscribers") (istr fl "chain_depth") (istr fl "synced")
-         (fstr "%.1f" "subscribers_per_s")
-         (fstr "%.3f" "wall_s");
-       Printf.printf
-         "  sync latency:       p50 %s s   p99 %s s\n"
-         (fstr "%.6f" "p50_sync_s") (fstr "%.6f" "p99_sync_s");
-       Printf.printf
-         "  delta sync:         %s bytes fetched, %s saved against a \
-          %s-byte cold mirror, ok=%s\n"
-         (istr fl "bytes_fetched") (istr fl "bytes_saved")
-         (istr fl "chain_bytes")
-         (match J.member "ok" fl with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?"));
-    (match J.member "cumulative" doc with
-     | None | Some J.Null -> ()
-     | Some cu ->
-       Printf.printf "cumulative updates:   atomic replace vs stacked chain (ok=%s)\n"
-         (match J.member "ok" cu with
-          | Some (J.Bool b) -> string_of_bool b
-          | _ -> "?");
-       (match field cu "rows" J.to_list with
-        | None | Some [] -> ()
-        | Some rows ->
-          List.iter
-            (fun r ->
-              let fstr k =
-                match field r k J.to_float with
-                | Some f -> Printf.sprintf "%.3f" f
-                | None -> "?"
-              in
-              Printf.printf
-                "  depth %3s: stacked %s s, collapse %s s; wire %s -> %s \
-                 bytes (%s saved), footprints identical=%s\n"
-                (istr r "depth") (fstr "stacked_apply_s") (fstr "collapse_s")
-                (istr r "chain_bytes") (istr r "cumulative_bytes")
-                (istr r "bytes_saved")
-                (match J.member "footprints_identical" r with
-                 | Some (J.Bool b) -> string_of_bool b
-                 | _ -> "?"))
-            rows));
-    Ok ()
-
 (* --- the corpus sweeps: sweep / sweep-report ---
 
    Both exit 1 when a report holds violations and 2 on bad input: an
@@ -1242,34 +996,6 @@ let sweep_report_cmd =
        ~doc:"Print a saved sweep report and check its verdict")
     Term.(const cmd_sweep_report $ path)
 
-let bench_summary_cmd =
-  let path =
-    Arg.(
-      value & pos 0 string "BENCH.json"
-      & info [] ~docv:"FILE"
-          ~doc:"Perf baseline written by bench/main.exe (--out).")
-  in
-  let only =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "section" ] ~docv:"NAME"
-          ~doc:
-            "Print just this top-level section as JSON; a missing section \
-             is a clean error, not a crash.")
-  in
-  Cmd.v
-    (Cmd.info "bench-summary"
-       ~doc:"Pretty-print a BENCH.json perf baseline")
-    Term.(
-      const (fun p o ->
-          match cmd_bench_summary p o with
-          | Ok () -> ()
-          | Error e ->
-            Format.eprintf "error: %a@." pp_summary_error e;
-            Stdlib.exit 1)
-      $ path $ only)
-
 let () =
   let doc = "Ksplice reproduction: rebootless kernel updates" in
   let info = Cmd.info "ksplice-tool" ~doc in
@@ -1279,4 +1005,4 @@ let () =
           [ create_cmd; inspect_cmd; objdump_cmd; export_cmd; list_cves_cmd;
             demo_cmd; sweep_cmd; sweep_report_cmd; collapse_cmd; serve_cmd;
             sync_cmd; fsck_cmd; gc_cmd; trace_cmd; metrics_cmd;
-            store_stats_cmd; bench_summary_cmd ]))
+            store_stats_cmd ]))

@@ -46,28 +46,12 @@ let syscall b ~uid nr args =
   match Machine.syscall_entry b.machine with
   | None -> Error Machine.No_syscall_entry
   | Some entry ->
-    (* mirror the entry convention: nr in r0, args in r1..r3; the entry
-       path itself validates nr *)
-    ignore entry;
-    let gate =
-      (* call through syscall_entry directly with registers staged via a
-         stub thread is equivalent to INT 0x80 from user space *)
-      entry
-    in
-    let args =
-      match args with
-      | [] -> []
-      | l -> l
-    in
-    (* stage registers by calling a tiny trampoline: call_function pushes
-       stack args, but the entry expects register args. We emulate with a
-       dedicated spawn. *)
+    (* the entry expects nr in r0 and args in r1..r3, not the stack args
+       call_function pushes, so a dedicated thread starts at the entry
+       with its registers staged — equivalent to INT 0x80 from user
+       space; the entry path itself validates nr *)
     let m = b.machine in
-    let th =
-      Machine.spawn m ~name:"syscall-probe" ~uid
-        ~entry:gate
-        ~args:[]
-    in
+    let th = Machine.spawn m ~name:"syscall-probe" ~uid ~entry ~args:[] in
     th.regs.(0) <- Int32.of_int nr;
     List.iteri (fun i v -> if i < 3 then th.regs.(i + 1) <- v) args;
     let fuel = ref 200 in

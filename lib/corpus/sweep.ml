@@ -203,10 +203,15 @@ let create_update (cve : Cve.t) base =
     Create.create
       { source = base; patch; update_id = cve.id; description = cve.desc }
   with
-  | Ok c -> c.Create.update
+  | Ok c -> Ok c.Create.update
   | Error e ->
-    failwith
-      (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error e)
+    Error (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error e)
+
+(* a row built on [cve]'s update; a failed create is the row's note *)
+let with_update (cve : Cve.t) base f =
+  match create_update cve base with
+  | Ok update -> f update
+  | Error m -> row cve.id [] [ m ]
 
 (* every 8th CVE: a deterministic sample spanning the corpus, for the
    sweeps whose rows cost many machines each *)
@@ -336,7 +341,7 @@ let check_recovery (b : Boot.booted) mgr (cve : Cve.t) update =
   List.rev !notes
 
 let fault_row ~seed index (cve : Cve.t) base =
-  let update = create_update cve base in
+  with_update cve base @@ fun update ->
   let b = Boot.boot () in
   let mgr = Apply.init b.machine in
   let cells =
@@ -541,7 +546,7 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
     (List.rev !notes)
 
 let manager_row ~seed i (cve : Cve.t) base =
-  let update = create_update cve base in
+  with_update cve base @@ fun update ->
   let cells =
     List.map
       (fun sc ->
@@ -684,7 +689,7 @@ let crash_probe (cve : Cve.t) base ~patch ~update =
 let crash_row ~seed i (cve : Cve.t) base =
   let seed = seed + (1009 * i) in
   let patch = Cve.hot_patch cve base in
-  let update = create_update cve base in
+  with_update cve base @@ fun update ->
   let base_digest = Tree.digest base in
   let ops, probe_notes = crash_probe cve base ~patch ~update in
   let published = ref 0 in
@@ -902,7 +907,7 @@ let run_tcell (cve : Cve.t) update =
     !notes
 
 let transition_row ~seed:_ _ (cve : Cve.t) base =
-  run_tcell cve (create_update cve base)
+  with_update cve base (run_tcell cve)
 
 (* ---------- fleet: distribution under transport faults ----------
 
@@ -937,14 +942,16 @@ let fleet_chain (cve : Cve.t) base ~max_depth =
     (fun (c : Cve.t) ->
       if !err = None && !depth < max_depth && Cve.applies_to c !tree then begin
         let patch = Cve.hot_patch c !tree in
-        let update = create_update c !tree in
-        match Repo.publish repo ~source:!tree ~patch ~update with
-        | Error e ->
-          err := Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
-        | Ok _ -> (
-          match Diff.apply patch !tree with
-          | Ok t -> tree := t; incr depth
-          | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m))
+        match create_update c !tree with
+        | Error m -> err := Some m
+        | Ok update -> (
+          match Repo.publish repo ~source:!tree ~patch ~update with
+          | Error e ->
+            err := Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
+          | Ok _ -> (
+            match Diff.apply patch !tree with
+            | Ok t -> tree := t; incr depth
+            | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m)))
       end)
     rest;
   (repo, !depth, !err)
@@ -1111,8 +1118,8 @@ let cumulative_chain ~name base ~depth =
       then begin
         let patch = Cve.hot_patch c !tree in
         match create_update c !tree with
-        | exception Failure m -> err := Some m
-        | update -> (
+        | Error m -> err := Some m
+        | Ok update -> (
           match Repo.publish repo ~source:!tree ~patch ~update with
           | Error e ->
             err :=
@@ -1270,6 +1277,7 @@ let run_curow ~seed ~depth base =
 
 (* §5.3 round trip for one shadow-variable extra *)
 let run_cushadow (cve : Cve.t) base =
+  with_update cve base @@ fun update ->
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let b = Boot.boot () in
@@ -1288,7 +1296,6 @@ let run_cushadow (cve : Cve.t) base =
   in
   let repo = Repo.of_store (Store.create ~name:("cushadow-" ^ cve.id) ()) in
   let patch = Cve.hot_patch cve base in
-  let update = create_update cve base in
   (match Repo.publish repo ~source:base ~patch ~update with
    | Ok _ -> ()
    | Error e -> note "publish: %a" Repo.pp_error e);

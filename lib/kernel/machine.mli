@@ -86,7 +86,7 @@ val remove_kallsyms : t -> (Klink.Image.syminfo -> bool) -> unit
 val lookup_name : t -> string -> Klink.Image.syminfo list
 
 (** Cumulative process-wide {!lookup_name} counters ([hits] are lookups
-    that found at least one entry); feeds the BENCH.json index hit rate. *)
+    that found at least one entry); feeds perfbench's kallsyms hit ratio. *)
 type index_stats = {
   lookups : int;
   hits : int;

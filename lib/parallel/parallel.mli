@@ -16,13 +16,10 @@
 
     Worker domains are spawned lazily on first use and joined at exit. *)
 
-val available_domains : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val default_domains : unit -> int
 (** Domain budget used when [?domains] is omitted: the
     [KSPLICE_DOMAINS] environment variable if set to a positive integer,
-    otherwise {!available_domains}. *)
+    otherwise [Domain.recommended_domain_count ()]. *)
 
 val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?domains ?chunk f xs] is [List.map f xs] computed with up to

@@ -311,8 +311,6 @@ let member k = function
   | Obj fields -> List.assoc_opt k fields
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
-
 let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None

@@ -1,6 +1,6 @@
-(** Minimal JSON tree, writer, and parser — enough for the BENCH.json
-    perf baseline (written by [bench/main.ml], read by
-    [ksplice-tool bench-summary]) without an external dependency. *)
+(** Minimal JSON tree, writer, and parser — enough for the sweep
+    reports, trace and metrics exports without an external
+    dependency. *)
 
 type t =
   | Null
@@ -42,7 +42,6 @@ val of_file : string -> (t, string) result
 (** {2 Accessors} — all total; [None] on shape mismatch. *)
 
 val member : string -> t -> t option
-val to_float : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -1,7 +1,7 @@
 (* Tests for the domain pool and the perf machinery riding on it:
    map/List.map equivalence, deterministic error propagation, nested
-   maps, parallel-vs-sequential build determinism, the bounded compile
-   cache, and the incremental kallsyms name index. *)
+   maps, parallel-vs-sequential build and update-creation determinism,
+   the bounded compile cache, and the incremental kallsyms name index. *)
 
 module Tree = Patchfmt.Source_tree
 module Image = Klink.Image
@@ -113,6 +113,31 @@ let test_cache_lru_bound () =
   Alcotest.(check bool) "entries bounded by capacity" true (s.entries <= 8);
   Alcotest.(check bool) "evictions counted" true (s.evictions > 0)
 
+(* --- update creation: serial vs domain-parallel --- *)
+
+let test_creation_serial_equals_parallel () =
+  let base = Corpus.Base_kernel.tree () in
+  let cves = List.filteri (fun i _ -> i < 8) Corpus.Cve.all in
+  let encoded ~domains (cve : Corpus.Cve.t) =
+    match
+      Ksplice.Create.create ~domains
+        { source = base; patch = Corpus.Cve.hot_patch cve base;
+          update_id = cve.id; description = cve.desc }
+    with
+    | Ok c -> Bytes.to_string (Ksplice.Update.to_bytes c.update)
+    | Error e -> Alcotest.failf "%s: %a" cve.id Ksplice.Create.pp_error e
+  in
+  Kbuild.reset_cache ();
+  let serial = List.map (encoded ~domains:1) cves in
+  Kbuild.reset_cache ();
+  let parallel = Parallel.map ~domains:2 (encoded ~domains:2) cves in
+  Kbuild.reset_cache ();
+  List.iter2
+    (fun (cve : Corpus.Cve.t) (s, p) ->
+      Alcotest.(check bool) (cve.id ^ " update bytes identical") true (s = p))
+    cves
+    (List.combine serial parallel)
+
 (* --- kallsyms name index --- *)
 
 let tiny_machine () =
@@ -166,6 +191,8 @@ let suite =
         t "nested map" test_nested_map;
         t "parallel build identical to sequential" test_parallel_build_identical;
         t "compile cache LRU bound" test_cache_lru_bound;
+        t "serial creation equals parallel creation"
+          test_creation_serial_equals_parallel;
         q prop_index_agrees;
       ] );
   ]

@@ -1,4 +1,4 @@
-(* Writer/parser roundtrip for the BENCH.json perf baseline format. *)
+(* Writer/parser roundtrip for the JSON reports and exports. *)
 
 module Json = Report.Json
 

@@ -312,6 +312,54 @@ let test_trace_deterministic () =
   | Ok v -> Alcotest.(check string) "export round-trips" a
               (Report.Json.to_string v)
 
+(* tracing observes apply and changes nothing it writes: the module
+   images and the trampolines read back from the running kernel are
+   byte-identical with tracing off and on *)
+let test_tracing_changes_no_applied_byte () =
+  let base = Corpus.Base_kernel.tree () in
+  let updates =
+    List.map
+      (fun (cve : Corpus.Cve.t) ->
+        match
+          Create.create
+            { source = base; patch = Corpus.Cve.hot_patch cve base;
+              update_id = cve.id; description = cve.desc }
+        with
+        | Ok c -> c.update
+        | Error e -> Alcotest.failf "%s: %a" cve.id Create.pp_error e)
+      (List.filteri (fun i _ -> i < 8) Corpus.Cve.all)
+  in
+  let applied_bytes ~traced (u : Ksplice.Update.t) =
+    let b = Corpus.Boot.boot () in
+    if traced then
+      Trace.set_clock (fun () -> Machine.instructions_retired b.machine);
+    match Apply.apply (Apply.init b.machine) u with
+    | Error e -> Alcotest.failf "%s: %a" u.update_id Apply.pp_error e
+    | Ok a ->
+      ( List.map (fun (addr, img) -> (addr, Bytes.to_string img)) a.module_image,
+        List.map
+          (fun (r : Apply.replacement) ->
+            Bytes.to_string (Machine.read_bytes b.machine r.r_old_addr 5))
+          a.replacements )
+  in
+  Trace.reset ();
+  Trace.set_enabled false;
+  let untraced = List.map (applied_bytes ~traced:false) updates in
+  let traced, records =
+    with_trace (fun () ->
+        let bytes = List.map (applied_bytes ~traced:true) updates in
+        (bytes, List.length (Trace.records ()) + Trace.dropped ()))
+  in
+  Alcotest.(check bool) "traced applies were recorded" true (records > 0);
+  List.iter2
+    (fun (u : Ksplice.Update.t) (off, on) ->
+      Alcotest.(check bool) (u.update_id ^ " module image identical") true
+        (fst off = fst on);
+      Alcotest.(check bool) (u.update_id ^ " trampolines identical") true
+        (snd off = snd on))
+    updates
+    (List.combine untraced traced)
+
 let test_manager_events_mirrored () =
   with_trace @@ fun () ->
   let tree, _img, m = boot base_src in
@@ -359,6 +407,8 @@ let suite =
         t "run-pre rejection carries the diagnostic"
           test_runpre_reject_trace;
         t "trace export is deterministic" test_trace_deterministic;
+        t "tracing changes no applied byte"
+          test_tracing_changes_no_applied_byte;
         t "manager events are mirrored" test_manager_events_mirrored;
       ] );
   ]
