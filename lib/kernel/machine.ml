@@ -62,8 +62,17 @@ type transition = {
   tr_dispatch : (int, int) Hashtbl.t;  (* function entry -> target *)
 }
 
+(* Machine memory is a table of 4 KiB pages. Every page no one has
+   written aliases [zero_page], which is never written itself; the first
+   write to such a page swaps in a fresh private page. Booting thus costs
+   the image, not [mem_size], and snapshots cost the pages touched. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let zero_page = Bytes.make page_size '\000'
+
 type t = {
-  mem : Bytes.t;
+  pages : Bytes.t array;  (* page [i] holds addresses [i lsl page_bits ..] *)
   mem_size : int;
   img : Klink.Image.t;
   mutable syms : Klink.Image.syminfo list;
@@ -110,6 +119,98 @@ type t = {
 exception Vm_fault of fault
 exception Out_of_memory of string
 
+(* --- pages ---
+
+   Raw accessors. Each takes an address its caller has already bounded
+   with [check] or [host_check], so the page index and offset are read
+   unchecked; only a 2- or 4-byte access straddling two pages goes byte
+   by byte. *)
+
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let page t a = Array.unsafe_get t.pages (a lsr page_bits)
+
+(* the page holding [a], made private first if it is still the zero page *)
+let writable_page t a =
+  let i = a lsr page_bits in
+  let p = Array.unsafe_get t.pages i in
+  if p != zero_page then p
+  else begin
+    let p = Bytes.make page_size '\000' in
+    Array.unsafe_set t.pages i p;
+    p
+  end
+
+let get_u8 t a = Char.code (Bytes.unsafe_get (page t a) (a land page_mask))
+
+let set_u8 t a v =
+  Bytes.unsafe_set (writable_page t a) (a land page_mask)
+    (Char.unsafe_chr (v land 0xff))
+
+let get_u16 t a =
+  let o = a land page_mask in
+  if o <= page_size - 2 then
+    let v = get16u (page t a) o in
+    if Sys.big_endian then swap16 v else v
+  else get_u8 t a lor (get_u8 t (a + 1) lsl 8)
+
+let set_u16 t a v =
+  let o = a land page_mask in
+  if o <= page_size - 2 then
+    set16u (writable_page t a) o (if Sys.big_endian then swap16 v else v)
+  else begin
+    set_u8 t a v;
+    set_u8 t (a + 1) (v lsr 8)
+  end
+
+let get_i32 t a =
+  let o = a land page_mask in
+  if o <= page_size - 4 then
+    let v = get32u (page t a) o in
+    if Sys.big_endian then swap32 v else v
+  else
+    Int32.of_int
+      (get_u8 t a
+      lor (get_u8 t (a + 1) lsl 8)
+      lor (get_u8 t (a + 2) lsl 16)
+      lor (get_u8 t (a + 3) lsl 24))
+
+let set_i32 t a v =
+  let o = a land page_mask in
+  if o <= page_size - 4 then
+    set32u (writable_page t a) o (if Sys.big_endian then swap32 v else v)
+  else begin
+    let v = Int32.to_int v in
+    set_u8 t a v;
+    set_u8 t (a + 1) (v lsr 8);
+    set_u8 t (a + 2) (v lsr 16);
+    set_u8 t (a + 3) (v lsr 24)
+  end
+
+(* bulk copies in and out of memory, one page-sized piece at a time;
+   these index the page table checked *)
+let rec blit_in t src off a len =
+  if len > 0 then begin
+    let i = a lsr page_bits and o = a land page_mask in
+    let n = min len (page_size - o) in
+    if t.pages.(i) == zero_page then t.pages.(i) <- Bytes.make page_size '\000';
+    Bytes.blit src off t.pages.(i) o n;
+    blit_in t src (off + n) (a + n) (len - n)
+  end
+
+let rec blit_out t a dst off len =
+  if len > 0 then begin
+    let i = a lsr page_bits and o = a land page_mask in
+    let n = min len (page_size - o) in
+    Bytes.blit t.pages.(i) o dst off n;
+    blit_out t (a + n) dst (off + n) (len - n)
+  end
+
 (* --- kallsyms name index --- *)
 
 (* process-wide lookup counters (machines may live on several domains) *)
@@ -140,21 +241,13 @@ let stack_size = 64 * 1024
 let stack_guard = 4096
 
 let create ?(mem_size = 0x0200_0000) (img : Klink.Image.t) =
-  let mem = Bytes.make mem_size '\000' in
   if img.base + img.size > mem_size - 0x10000 then
     invalid_arg "Machine.create: image does not fit";
-  Bytes.blit img.data 0 mem img.base (Bytes.length img.data);
   let exit_gadget = mem_size - 0x10 in
   let sentinel = mem_size - 0x20 in
-  (* exit gadget: mov r1, r0; int 1 — lets spawned entries simply return *)
-  let pos = ref exit_gadget in
-  List.iter
-    (fun i -> pos := !pos + Isa.encode mem !pos i)
-    [ Isa.Mov_rr (Isa.R1, Isa.R0); Isa.Int 1 ];
-  ignore (Isa.encode mem sentinel Isa.Hlt : int);
   let t =
     {
-      mem;
+      pages = Array.make ((mem_size + page_mask) lsr page_bits) zero_page;
       mem_size;
       img;
       syms = img.kallsyms;
@@ -185,6 +278,20 @@ let create ?(mem_size = 0x0200_0000) (img : Klink.Image.t) =
       safepoint_hook = None;
     }
   in
+  blit_in t img.data 0 img.base (Bytes.length img.data);
+  let encode_at a insns =
+    ignore
+      (List.fold_left
+         (fun a i ->
+           let b = Isa.encode_to_bytes i in
+           blit_in t b 0 a (Bytes.length b);
+           a + Bytes.length b)
+         a insns
+        : int)
+  in
+  (* exit gadget: mov r1, r0; int 1 — lets spawned entries simply return *)
+  encode_at exit_gadget [ Isa.Mov_rr (Isa.R1, Isa.R0); Isa.Int 1 ];
+  encode_at sentinel [ Isa.Hlt ];
   (match Klink.Image.lookup_global img "syscall_entry" with
    | Some s -> t.syscall_entry_addr <- Some s.addr
    | None -> ());
@@ -304,42 +411,53 @@ let transition_bindings t =
 
 (* --- memory --- *)
 
+(* an interpreted load, store or fetch out of range faults its thread *)
 let check t addr size =
   if addr < 0x1000 || addr + size > t.mem_size then
     raise (Vm_fault (Memory_violation addr))
 
-(* every mutation of [t.mem] announces (addr, len) here *before* the
+let out_of_range addr size =
+  invalid_arg
+    (Printf.sprintf "Machine: %d-byte access at %#x out of range" size addr)
+
+(* a host-side access out of range is the caller's bug *)
+let host_check t addr size =
+  if addr < 0x1000 || addr + size > t.mem_size then out_of_range addr size
+
+(* every mutation of memory announces (addr, len) here *before* the
    bytes change, so a transaction journal can capture the old contents *)
 let observe t addr len =
   match t.write_observer with None -> () | Some f -> f addr len
 
 let read_u8 t a =
-  check t a 1;
-  Bytes.get_uint8 t.mem a
+  host_check t a 1;
+  get_u8 t a
 
 let read_i32 t a =
-  check t a 4;
-  Bytes.get_int32_le t.mem a
+  host_check t a 4;
+  get_i32 t a
 
 let read_bytes t a n =
-  check t a (max n 1);
-  Bytes.sub t.mem a n
+  host_check t a (max n 1);
+  let b = Bytes.create n in
+  blit_out t a b 0 n;
+  b
 
 let write_u8 t a v =
-  check t a 1;
+  host_check t a 1;
   observe t a 1;
-  Bytes.set_uint8 t.mem a (v land 0xff)
+  set_u8 t a v
 
 let write_i32 t a v =
-  check t a 4;
+  host_check t a 4;
   observe t a 4;
-  Bytes.set_int32_le t.mem a v
+  set_i32 t a v
 
 let write_bytes t a b =
-  check t a (max (Bytes.length b) 1);
+  host_check t a (max (Bytes.length b) 1);
   observe t a (Bytes.length b);
   let b = match t.inj_write with None -> b | Some f -> f a b in
-  Bytes.blit b 0 t.mem a (Bytes.length b)
+  blit_in t b 0 a (Bytes.length b)
 
 let alloc_module t ~size ~align =
   (match t.inj_alloc with
@@ -363,7 +481,7 @@ let push_on th t v =
   if sp < th.stack_lo then raise (Vm_fault (Memory_violation sp));
   check t sp 4;
   observe t sp 4;
-  Bytes.set_int32_le t.mem sp v;
+  set_i32 t sp v;
   th.regs.(8) <- Int32.of_int sp
 
 let spawn t ~name ~uid ~entry ~args =
@@ -415,22 +533,34 @@ let set_flags th a b =
   th.flag_eq <- Int32.equal a b;
   th.flag_lt <- Int32.compare a b < 0
 
+let load_i32 t addr =
+  check t addr 4;
+  get_i32 t addr
+
 let load t width addr =
   match width with
-  | Isa.W8 -> Int32.of_int (read_u8 t addr)
+  | Isa.W8 ->
+    check t addr 1;
+    Int32.of_int (get_u8 t addr)
   | Isa.W16 ->
     check t addr 2;
-    Int32.of_int (Bytes.get_uint16_le t.mem addr)
-  | Isa.W32 -> read_i32 t addr
+    Int32.of_int (get_u16 t addr)
+  | Isa.W32 -> load_i32 t addr
 
 let store t width addr v =
   match width with
-  | Isa.W8 -> write_u8 t addr (Int32.to_int v land 0xff)
+  | Isa.W8 ->
+    check t addr 1;
+    observe t addr 1;
+    set_u8 t addr (Int32.to_int v)
   | Isa.W16 ->
     check t addr 2;
     observe t addr 2;
-    Bytes.set_uint16_le t.mem addr (Int32.to_int v land 0xffff)
-  | Isa.W32 -> write_i32 t addr v
+    set_u16 t addr (Int32.to_int v land 0xffff)
+  | Isa.W32 ->
+    check t addr 4;
+    observe t addr 4;
+    set_i32 t addr v
 
 let sext8 v = Int32.shift_right (Int32.shift_left v 24) 24
 let sext16 v = Int32.shift_right (Int32.shift_left v 16) 16
@@ -507,7 +637,7 @@ let step t th =
   dispatch_redirect t th;
   let pc = th.pc in
   let insn, len =
-    try Isa.decode (fun a -> check t a 1; Bytes.get_uint8 t.mem a) pc
+    try Isa.decode (fun a -> check t a 1; get_u8 t a) pc
     with Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
   in
   let next = pc + len in
@@ -611,7 +741,7 @@ let step t th =
     `Ok
   | Isa.Ret ->
     let sp = Int32.to_int th.regs.(8) in
-    th.pc <- Int32.to_int (read_i32 t sp);
+    th.pc <- Int32.to_int (load_i32 t sp);
     th.regs.(8) <- Int32.of_int (sp + 4);
     `Ok
   | Isa.Push r ->
@@ -620,7 +750,7 @@ let step t th =
     `Ok
   | Isa.Pop r ->
     let sp = Int32.to_int th.regs.(8) in
-    set_reg th r (read_i32 t sp);
+    set_reg th r (load_i32 t sp);
     th.regs.(8) <- Int32.of_int (sp + 4);
     th.pc <- next;
     `Ok
@@ -927,7 +1057,7 @@ let restore_volatile t v =
 (* --- byte-identity snapshots (rollback verification) --- *)
 
 type snapshot = {
-  s_mem : Bytes.t;
+  s_pages : Bytes.t array;  (* untouched pages stay [zero_page] *)
   s_syms : Klink.Image.syminfo list;
   s_priv : (int * int) list;
   s_threads :
@@ -952,7 +1082,8 @@ let shadow_bindings t =
 
 let snapshot t =
   {
-    s_mem = Bytes.copy t.mem;
+    s_pages =
+      Array.map (fun p -> if p == zero_page then p else Bytes.copy p) t.pages;
     s_syms = t.syms;
     s_priv = t.priv;
     s_threads = thread_tuples t;
@@ -965,22 +1096,27 @@ let snapshot t =
 let diff_snapshot t s =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun m -> out := m :: !out) fmt in
-  if not (Bytes.equal t.mem s.s_mem) then begin
-    let shown = ref 0 in
-    let i = ref 0 in
-    let n = min (Bytes.length t.mem) (Bytes.length s.s_mem) in
-    while !i < n && !shown < 4 do
-      if Bytes.get t.mem !i <> Bytes.get s.s_mem !i then begin
-        add "memory differs at %#x: now %#x, snapshot %#x" !i
-          (Bytes.get_uint8 t.mem !i)
-          (Bytes.get_uint8 s.s_mem !i);
-        incr shown;
-        (* jump past this word to avoid flooding the report *)
-        i := ((!i / 16) + 1) * 16
-      end
-      else incr i
-    done
-  end;
+  (* page by page in address order; a page still shared by both sides
+     (the zero page) cannot differ *)
+  let shown = ref 0 in
+  Array.iteri
+    (fun pg now ->
+      let was = s.s_pages.(pg) in
+      if !shown < 4 && now != was && not (Bytes.equal now was) then begin
+        let o = ref 0 in
+        while !o < page_size && !shown < 4 do
+          if Bytes.get now !o <> Bytes.get was !o then begin
+            add "memory differs at %#x: now %#x, snapshot %#x"
+              ((pg lsl page_bits) + !o)
+              (Bytes.get_uint8 now !o) (Bytes.get_uint8 was !o);
+            incr shown;
+            (* jump past this word to avoid flooding the report *)
+            o := ((!o / 16) + 1) * 16
+          end
+          else incr o
+        done
+      end)
+    t.pages;
   if List.sort compare t.syms <> List.sort compare s.s_syms then
     add "kallsyms differ: %d entries now, %d in snapshot"
       (List.length t.syms) (List.length s.s_syms);

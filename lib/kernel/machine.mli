@@ -49,10 +49,16 @@ val safe_point_name : safe_point -> string
 
 type t
 
-(** [create ?mem_size image] boots the image into fresh memory: copies
-    text/data, zeroes bss, seeds kallsyms, and registers the kernel text
-    as privileged. If the image defines [syscall_entry], [INT 0x80] is
-    wired to it. *)
+(** [create ?mem_size image] boots the image into fresh memory
+    ([mem_size] bytes, 32 MiB by default): copies text/data, seeds
+    kallsyms, and registers the kernel text as privileged. If the image
+    defines [syscall_entry], [INT 0x80] is wired to it.
+
+    Memory is a table of 4 KiB pages. A page nobody has written reads as
+    zeros without being allocated, so boot costs the pages the image,
+    exit gadget and sentinel occupy, not [mem_size]; bss needs no
+    zeroing. @raise Invalid_argument if the image does not fit below
+    the top 64 KiB. *)
 val create : ?mem_size:int -> Klink.Image.t -> t
 
 val image : t -> Klink.Image.t
@@ -100,7 +106,11 @@ val privileged_ranges : t -> (int * int) list
 
 val add_privileged_range : t -> int * int -> unit
 
-(** Memory access (host side). @raise Invalid_argument out of range. *)
+(** Memory access (host side), little-endian. The first 4 KiB and
+    everything from [mem_size] on are out of range.
+    @raise Invalid_argument out of range; nothing is read, written or
+    observed then. (An interpreted load, store or fetch out of range
+    instead faults its thread with {!Memory_violation}.) *)
 val read_u8 : t -> int -> int
 
 val read_i32 : t -> int -> int32
@@ -280,10 +290,16 @@ val restore_volatile : t -> volatile_state -> unit
 
 type snapshot
 
+(** [snapshot t] copies every page that has ever been written; pages
+    never written are shared with the machine as the zero page. Its cost
+    is O(touched pages), and later writes to [t] do not change it. *)
 val snapshot : t -> snapshot
 
 (** [diff_snapshot t s] is a human-readable list of divergences between
     the machine now and snapshot [s]; [[]] means byte-identical memory,
     kallsyms, privileged ranges, thread state, tick, console, and shadow
-    bindings. *)
+    bindings. Memory is compared page by page, skipping pages both sides
+    still share; equal bytes on different pages count as equal. At most
+    four differing bytes are reported, in ascending address order and at
+    most one per 16-byte line. *)
 val diff_snapshot : t -> snapshot -> string list
