@@ -71,8 +71,26 @@ let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let zero_page = Bytes.make page_size '\000'
 
+(* Predecoded instructions live in a direct-mapped table of [icache_size]
+   slots: slot [pc land icache_mask] holds the decode of the instruction
+   at [ic_tag.(slot)], or nothing when the tag is [no_pc]. No pc reaches
+   [no_pc]: a pc is an int32 value or an in-range address plus an int32
+   displacement. The table is derived from memory and stays coherent with
+   it (see [icache_drop]); it is in no snapshot. Its size is fixed, so an
+   update that loads module after module never grows it. *)
+let icache_bits = 12
+let icache_size = 1 lsl icache_bits
+let icache_mask = icache_size - 1
+let no_pc = min_int
+
 type t = {
   pages : Bytes.t array;  (* page [i] holds addresses [i lsl page_bits ..] *)
+  ic_tag : int array;
+  ic_insn : Isa.insn array;
+  ic_len : Bytes.t;
+  (* per page: ['\001'] once a cached decode has started on it, so a write
+     to a page that never held code skips the table *)
+  ic_pages : Bytes.t;
   mem_size : int;
   img : Klink.Image.t;
   mutable syms : Klink.Image.syminfo list;
@@ -119,12 +137,33 @@ type t = {
 exception Vm_fault of fault
 exception Out_of_memory of string
 
+(* --- instruction cache --- *)
+
+(* Drop every cached decode that a write to [a, a + len) may change: those
+   starting in [a - (Isa.max_length - 1), a + len). Every raw write below
+   calls this, so host writes, interpreted stores, stack pushes, rollback
+   and [create]'s image blit all keep fetches coherent. *)
+let icache_drop t a len =
+  let lo = a - (Isa.max_length - 1) and hi = a + len in
+  let lo = if lo < 0 then 0 else lo in
+  for p = lo lsr page_bits to (hi - 1) lsr page_bits do
+    if Bytes.unsafe_get t.ic_pages p <> '\000' then begin
+      let start = p lsl page_bits and stop = (p + 1) lsl page_bits in
+      for x = (if lo > start then lo else start)
+          to (if hi < stop then hi else stop) - 1 do
+        let slot = x land icache_mask in
+        if Array.unsafe_get t.ic_tag slot = x then
+          Array.unsafe_set t.ic_tag slot no_pc
+      done
+    end
+  done
+
 (* --- pages ---
 
    Raw accessors. Each takes an address its caller has already bounded
    with [check] or [host_check], so the page index and offset are read
    unchecked; only a 2- or 4-byte access straddling two pages goes byte
-   by byte. *)
+   by byte. Every write drops the cached decodes it may change. *)
 
 external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
@@ -149,6 +188,7 @@ let writable_page t a =
 let get_u8 t a = Char.code (Bytes.unsafe_get (page t a) (a land page_mask))
 
 let set_u8 t a v =
+  icache_drop t a 1;
   Bytes.unsafe_set (writable_page t a) (a land page_mask)
     (Char.unsafe_chr (v land 0xff))
 
@@ -161,8 +201,10 @@ let get_u16 t a =
 
 let set_u16 t a v =
   let o = a land page_mask in
-  if o <= page_size - 2 then
+  if o <= page_size - 2 then begin
+    icache_drop t a 2;
     set16u (writable_page t a) o (if Sys.big_endian then swap16 v else v)
+  end
   else begin
     set_u8 t a v;
     set_u8 t (a + 1) (v lsr 8)
@@ -182,8 +224,10 @@ let get_i32 t a =
 
 let set_i32 t a v =
   let o = a land page_mask in
-  if o <= page_size - 4 then
+  if o <= page_size - 4 then begin
+    icache_drop t a 4;
     set32u (writable_page t a) o (if Sys.big_endian then swap32 v else v)
+  end
   else begin
     let v = Int32.to_int v in
     set_u8 t a v;
@@ -198,6 +242,7 @@ let rec blit_in t src off a len =
   if len > 0 then begin
     let i = a lsr page_bits and o = a land page_mask in
     let n = min len (page_size - o) in
+    icache_drop t a n;
     if t.pages.(i) == zero_page then t.pages.(i) <- Bytes.make page_size '\000';
     Bytes.blit src off t.pages.(i) o n;
     blit_in t src (off + n) (a + n) (len - n)
@@ -248,6 +293,10 @@ let create ?(mem_size = 0x0200_0000) (img : Klink.Image.t) =
   let t =
     {
       pages = Array.make ((mem_size + page_mask) lsr page_bits) zero_page;
+      ic_tag = Array.make icache_size no_pc;
+      ic_insn = Array.make icache_size Isa.Hlt;
+      ic_len = Bytes.make icache_size '\000';
+      ic_pages = Bytes.make ((mem_size + page_mask) lsr page_bits) '\000';
       mem_size;
       img;
       syms = img.kallsyms;
@@ -518,8 +567,9 @@ let spawn t ~name ~uid ~entry ~args =
 
 let in_priv t pc = List.exists (fun (lo, hi) -> pc >= lo && pc < hi) t.priv
 
-let reg th r = th.regs.(Isa.reg_to_int r)
-let set_reg th r v = th.regs.(Isa.reg_to_int r) <- v
+(* inlined: nearly every instruction reads or writes a register *)
+let[@inline] reg th r = th.regs.(Isa.reg_to_int r)
+let[@inline] set_reg th r v = th.regs.(Isa.reg_to_int r) <- v
 
 let cond_holds th = function
   | Isa.Eq -> th.flag_eq
@@ -632,22 +682,32 @@ let do_int t th code =
       `Jumped)
   | _ -> raise (Vm_fault (Illegal_instruction th.pc))
 
-(* Execute one instruction. Returns [`Ok | `Yield | `Stop]. *)
-let step t th =
-  dispatch_redirect t th;
-  let pc = th.pc in
+(* A miss: decode as a fetch always has, faulting at the first byte out
+   of range or on bytes that form no instruction, and keep the decode. *)
+let icache_fill t pc slot =
   let insn, len =
     try Isa.decode (fun a -> check t a 1; get_u8 t a) pc
     with Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
   in
-  let next = pc + len in
-  let jump_rel disp = th.pc <- next + disp in
-  let alu f a b =
-    set_reg th a (f (reg th a) (reg th b));
-    th.pc <- next;
-    `Ok
-  in
-  let shift_amount v = Int32.to_int v land 31 in
+  Array.unsafe_set t.ic_tag slot pc;
+  Array.unsafe_set t.ic_insn slot insn;
+  Bytes.unsafe_set t.ic_len slot (Char.unsafe_chr len);
+  Bytes.unsafe_set t.ic_pages (pc lsr page_bits) '\001'
+
+let jump_rel th next disp = th.pc <- next + disp
+
+let alu th f a b next =
+  set_reg th a (f (reg th a) (reg th b));
+  th.pc <- next;
+  `Ok
+
+let shift_amount v = Int32.to_int v land 31
+let shl x y = Int32.shift_left x (shift_amount y)
+let shr x y = Int32.shift_right_logical x (shift_amount y)
+let sar x y = Int32.shift_right x (shift_amount y)
+
+(* Execute [insn], fetched at [pc] and ending at [next]. *)
+let exec t th pc next insn =
   match insn with
   | Isa.Hlt ->
     th.state <- Exited 0l;
@@ -679,22 +739,21 @@ let step t th =
     store t w (Int32.to_int a) (reg th rs);
     th.pc <- next;
     `Ok
-  | Isa.Add (a, b) -> alu Int32.add a b
-  | Isa.Sub (a, b) -> alu Int32.sub a b
-  | Isa.Mul (a, b) -> alu Int32.mul a b
+  | Isa.Add (a, b) -> alu th Int32.add a b next
+  | Isa.Sub (a, b) -> alu th Int32.sub a b next
+  | Isa.Mul (a, b) -> alu th Int32.mul a b next
   | Isa.Div (a, b) ->
     if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu Int32.div a b
+    alu th Int32.div a b next
   | Isa.Mod (a, b) ->
     if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu Int32.rem a b
-  | Isa.And (a, b) -> alu Int32.logand a b
-  | Isa.Or (a, b) -> alu Int32.logor a b
-  | Isa.Xor (a, b) -> alu Int32.logxor a b
-  | Isa.Shl (a, b) -> alu (fun x y -> Int32.shift_left x (shift_amount y)) a b
-  | Isa.Shr (a, b) ->
-    alu (fun x y -> Int32.shift_right_logical x (shift_amount y)) a b
-  | Isa.Sar (a, b) -> alu (fun x y -> Int32.shift_right x (shift_amount y)) a b
+    alu th Int32.rem a b next
+  | Isa.And (a, b) -> alu th Int32.logand a b next
+  | Isa.Or (a, b) -> alu th Int32.logor a b next
+  | Isa.Xor (a, b) -> alu th Int32.logxor a b next
+  | Isa.Shl (a, b) -> alu th shl a b next
+  | Isa.Shr (a, b) -> alu th shr a b next
+  | Isa.Sar (a, b) -> alu th sar a b next
   | Isa.Addi (a, v) ->
     set_reg th a (Int32.add (reg th a) v);
     th.pc <- next;
@@ -720,20 +779,21 @@ let step t th =
     th.pc <- next;
     `Ok
   | Isa.Jmp d ->
-    jump_rel (Int32.to_int d);
+    jump_rel th next (Int32.to_int d);
     `Ok
   | Isa.Jmp_s d ->
-    jump_rel d;
+    jump_rel th next d;
     `Ok
   | Isa.Jcc (c, d) ->
-    if cond_holds th c then jump_rel (Int32.to_int d) else th.pc <- next;
+    if cond_holds th c then jump_rel th next (Int32.to_int d)
+    else th.pc <- next;
     `Ok
   | Isa.Jcc_s (c, d) ->
-    if cond_holds th c then jump_rel d else th.pc <- next;
+    if cond_holds th c then jump_rel th next d else th.pc <- next;
     `Ok
   | Isa.Call d ->
     push_on th t (Int32.of_int next);
-    jump_rel (Int32.to_int d);
+    jump_rel th next (Int32.to_int d);
     `Ok
   | Isa.Call_r r ->
     push_on th t (Int32.of_int next);
@@ -785,6 +845,17 @@ let step t th =
     | `Jumped -> `Ok
     | `Stop -> `Stop)
 
+(* Execute one instruction. Returns [`Ok | `Yield | `Stop]. A fetch that
+   hits the instruction cache allocates nothing. *)
+let step t th =
+  dispatch_redirect t th;
+  let pc = th.pc in
+  let slot = pc land icache_mask in
+  if Array.unsafe_get t.ic_tag slot <> pc then icache_fill t pc slot;
+  exec t th pc
+    (pc + Char.code (Bytes.unsafe_get t.ic_len slot))
+    (Array.unsafe_get t.ic_insn slot)
+
 let step_catching t th =
   try step t th
   with Vm_fault f ->
@@ -805,38 +876,40 @@ let run_thread t th n =
   done;
   !executed
 
-let wake_sleepers t =
+let is_runnable th = match th.state with Runnable -> true | _ -> false
+
+let wake_sleepers t ths =
   List.iter
     (fun th ->
       match th.state with
       | Sleeping until when t.tick_count >= until -> th.state <- Runnable
       | _ -> ())
-    (threads t)
+    ths
 
+(* a round visits threads in spawn order; waking sleepers spawns nothing,
+   so the thread list is built once per round *)
 let run t ~steps =
   let executed = ref 0 in
   let progress = ref true in
   while !executed < steps && !progress do
-    wake_sleepers t;
-    let runnable =
-      List.filter (fun th -> th.state = Runnable) (threads t)
-    in
-    if runnable = [] then begin
+    let ths = threads t in
+    wake_sleepers t ths;
+    match List.filter is_runnable ths with
+    | [] -> (
       (* advance time to the next wake-up, if any thread sleeps *)
       let next_wake =
         List.filter_map
           (fun th -> match th.state with Sleeping u -> Some u | _ -> None)
-          (threads t)
+          ths
       in
       match next_wake with
       | [] -> progress := false
       | l ->
-        t.tick_count <- max t.tick_count (List.fold_left min max_int l)
-    end
-    else
+        t.tick_count <- max t.tick_count (List.fold_left min max_int l))
+    | runnable ->
       List.iter
         (fun th ->
-          if th.state = Runnable && !executed < steps then begin
+          if is_runnable th && !executed < steps then begin
             executed :=
               !executed + run_thread t th (min quantum (steps - !executed));
             (* the end of a scheduler quantum is a migration safe point *)

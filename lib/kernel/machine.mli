@@ -5,7 +5,14 @@
 
     The machine interprets the same bytes Ksplice's trampolines patch, so
     an incorrectly constructed update genuinely corrupts execution — the
-    safety properties under test are real, not simulated. *)
+    safety properties under test are real, not simulated.
+
+    Fetches go through a fixed-size cache of decoded instructions, and
+    every path that mutates memory keeps it coherent: host-side
+    [write_u8]/[write_i32]/[write_bytes] (module loads, trampolines,
+    transaction rollback), interpreted stores and stack pushes. The next
+    fetch after any write sees the written bytes, exactly as if nothing
+    were cached; the cache is in no snapshot. *)
 
 type fault =
   | Illegal_instruction of int  (** pc *)

@@ -135,6 +135,8 @@ let length = function
   | Sext8 _ | Sext16 _ | Zext8 _ | Zext16 _ | Int _ -> 2
   | Jmp _ | Jcc _ | Call _ -> 5
 
+let max_length = 6
+
 (* Opcode map; see isa.mli for the instruction set overview. *)
 let op_hlt = 0x00
 let op_nop1 = 0x01

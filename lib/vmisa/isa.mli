@@ -75,6 +75,11 @@ val insn_to_string : insn -> string
 (** [length i] is the encoded size of [i] in bytes. *)
 val length : insn -> int
 
+(** [max_length] bounds {!length}: no encoding is longer. A write to
+    byte [a] can change only instructions starting in
+    [a - (max_length - 1) .. a]. *)
+val max_length : int
+
 (** [encode buf pos i] writes the encoding of [i] at [pos] and returns the
     number of bytes written. @raise Invalid_argument on malformed operands
     (e.g. a short displacement that does not fit in 8 bits). *)

@@ -42,6 +42,10 @@ let test_roundtrip () =
       check int_c
         (Printf.sprintf "length of %s" (Isa.insn_to_string i))
         (Isa.length i) (Bytes.length b);
+      check bool_c
+        (Printf.sprintf "%s within max_length" (Isa.insn_to_string i))
+        true
+        (Isa.length i <= Isa.max_length);
       let i', len = Isa.decode_bytes b 0 in
       check bool_c
         (Printf.sprintf "roundtrip %s" (Isa.insn_to_string i))
