@@ -232,7 +232,9 @@ let symbol_stats () =
 
 let inline_stats () =
   section "Inlining statistics (paper 6.3: 20/64 inlined, 4/64 explicit)";
-  let run_build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build base in
+  let run_build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build base)
+  in
   let inlined = Kbuild.inlined_callees run_build in
   let inlined_in unit f =
     List.exists (fun (u, _, callee) -> u = unit && callee = f) inlined
@@ -253,7 +255,7 @@ let inline_stats () =
       (fun (cve : Corpus.Cve.t) ->
         let c = create_cve_exn cve in
         List.exists
-          (fun (d : Ksplice.Prepost.unit_diff) ->
+          (fun (d : Ksplice.Diffobj.unit_diff) ->
             List.exists (pred d.unit_name)
               (d.changed_functions @ d.new_functions))
           c.diffs)

@@ -61,7 +61,7 @@ let print_explanation (c : Create.created) =
         List.iter
           (fun (sym, reason) ->
             Printf.printf "    %-32s %s\n" sym
-              (Ksplice.Prepost.reason_to_string reason))
+              (Ksplice.Diffobj.reason_to_string reason))
           p.p_shipped)
     c.provenance
 
@@ -80,16 +80,26 @@ let cmd_create source patch_file output id desc explain =
       Format.eprintf "error: %a@." Create.pp_error e;
       exit 1
     | Ok ({ update; diffs; _ } as created) ->
-      Update.write_file output update;
+      Out_channel.with_open_bin output (fun oc ->
+          Out_channel.output_bytes oc (Update.to_bytes update));
       Printf.printf "Ksplice update written to %s\n" output;
       List.iter
-        (fun (d : Ksplice.Prepost.unit_diff) ->
-          Format.printf "%a@." Ksplice.Prepost.pp_unit_diff d)
+        (fun (d : Ksplice.Diffobj.unit_diff) ->
+          Format.printf "%a@." Ksplice.Diffobj.pp_unit_diff d)
         diffs;
       if explain then print_explanation created)
 
+(* a KSPL1 file, or exit 1 with the typed decode error *)
+let read_update data =
+  match Update.of_bytes (Bytes.of_string data) with
+  | Ok u -> u
+  | Error e ->
+    Printf.eprintf "error: corrupt update file: %s\n"
+      (Update.decode_error_to_string e);
+    exit 1
+
 let cmd_inspect path =
-  let u = Update.read_file path in
+  let u = read_update (read_file path) in
   Printf.printf "update:      %s\n" u.update_id;
   Printf.printf "description: %s\n" u.description;
   Printf.printf "patched units (%d):\n" (List.length u.patched_units);
@@ -113,28 +123,22 @@ let cmd_inspect path =
 
 let cmd_objdump path =
   let data = read_file path in
-  if String.length data >= 5 && String.sub data 0 5 = "KSPL1" then begin
-    match Update.of_bytes (Bytes.of_string data) with
-    | Error e ->
-      Printf.eprintf "error: corrupt update file: %s\n"
-        (Update.decode_error_to_string e);
-      exit 1
-    | Ok u ->
-      Printf.printf "update %s\n\n=== primary module ===\n" u.update_id;
-      Format.printf "%a@." Objfile.Objdump.pp u.primary;
-      List.iter
-        (fun h ->
-          Printf.printf "\n=== helper (pre) module: %s ===\n"
-            h.Objfile.unit_name;
-          Format.printf "%a@." Objfile.Objdump.pp h)
-        u.helpers
+  if String.starts_with ~prefix:"KSPL1" data then begin
+    let u = read_update data in
+    Printf.printf "update %s\n\n=== primary module ===\n" u.update_id;
+    Format.printf "%a@." Objfile.Objdump.pp u.primary;
+    List.iter
+      (fun h ->
+        Printf.printf "\n=== helper (pre) module: %s ===\n" h.Objfile.unit_name;
+        Format.printf "%a@." Objfile.Objdump.pp h)
+      u.helpers
   end
   else
     match Objfile.of_bytes (Bytes.of_string data) with
     | Ok o -> Format.printf "%a@." Objfile.Objdump.pp o
     | Error e ->
       Printf.eprintf "error: not an update or object file: %s\n"
-        (Objfile.decode_error_to_string e);
+        (Codec.error_to_string e);
       exit 1
 
 let cmd_export dir =
@@ -215,7 +219,7 @@ let cmd_demo cve_id =
        exit 1
      | Ok { update; diffs; _ } ->
        List.iter
-         (fun (d : Ksplice.Prepost.unit_diff) ->
+         (fun (d : Ksplice.Diffobj.unit_diff) ->
            Printf.printf "    %s: replacing %s\n" d.unit_name
              (String.concat ", " d.changed_functions))
          diffs;

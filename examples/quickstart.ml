@@ -35,8 +35,12 @@ let () =
   (* 1. boot a kernel the way a distro would build it: one .text per
      unit, no preparation for hot updates whatsoever *)
   let tree = Tree.of_list [ ("kernel/main.c", kernel_source) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let image = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let image =
+    Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build))
+  in
   let machine = Machine.create image in
   let call name args =
     let sym = Option.get (Image.lookup_global image name) in
@@ -82,7 +86,7 @@ let () =
     | Error e -> Format.kasprintf failwith "create: %a" Create.pp_error e
   in
   List.iter
-    (fun (d : Ksplice.Prepost.unit_diff) ->
+    (fun (d : Ksplice.Diffobj.unit_diff) ->
       Printf.printf "[create] %s: functions to replace: %s\n" d.unit_name
         (String.concat ", " d.changed_functions))
     diffs;

@@ -106,8 +106,12 @@ int stats(int which) {
 let () =
   print_endline "== user-space server hot update ==";
   let tree = Tree.of_list [ ("server/main.c", server_source) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let img =
+    Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build))
+  in
   let m = Machine.create img in
   let addr name = (Option.get (Image.lookup_global img name)).Image.addr in
   let call name args =

@@ -32,12 +32,12 @@ type provenance = {
   p_unit : string;
   p_patch : Diff.stats;
   p_hunks : int;
-  p_shipped : (string * Prepost.reason) list;
+  p_shipped : (string * Diffobj.reason) list;
 }
 
 type created = {
   update : Update.t;
-  diffs : Prepost.unit_diff list;
+  diffs : Diffobj.unit_diff list;
   provenance : provenance list;
 }
 
@@ -70,30 +70,25 @@ let skipped = Atomic.make 0
 let skipped_units () = Atomic.get skipped
 let reset_creation_stats () = Atomic.set skipped 0
 
-(* The per-symbol [unit-diff/2] codec. The wire format (and its typed,
-   total decoder) lives in {!Prepost}; a blob written by the retired
-   [unit-diff/1] codec fails the magic check, so on an old store every
-   lookup is a plain cache miss, never an error. *)
+(* Unit diffs are cached in the [unit-diff/2] format ({!Diffobj.codec});
+   a blob written by the retired [unit-diff/1] codec fails the magic
+   check, so on an old store every lookup is a plain cache miss, never
+   an error. *)
 module Diff_codec = Store.Typed (struct
-  type v = Prepost.unit_diff
+  type v = Diffobj.unit_diff
 
   let codec_id = "unit-diff/2"
-  let encode = Prepost.encode
-
-  let decode s =
-    match Prepost.decode s with
-    | Ok d -> Ok d
-    | Error e -> Error (Format.asprintf "%a" Prepost.pp_decode_error e)
+  let codec = Diffobj.codec
 end)
 
 let diff_unit_incremental store ~unit_name ~(pre : Objfile.t)
     ~(post : Objfile.t) =
-  let pre_d = Store.put store (Bytes.to_string (Objfile.to_bytes pre)) in
-  let post_d = Store.put store (Bytes.to_string (Objfile.to_bytes post)) in
+  let pre_d = Store.put store (Codec.encode Objfile.codec pre) in
+  let post_d = Store.put store (Codec.encode Objfile.codec post) in
   if String.equal pre_d post_d then begin
     Atomic.incr skipped;
     Trace.count "store.create.skipped_units" 1;
-    Prepost.empty unit_name
+    Diffobj.empty unit_name
   end
   else begin
     let key = "unitdiff:" ^ pre_d ^ ":" ^ post_d in
@@ -103,7 +98,7 @@ let diff_unit_incremental store ~unit_name ~(pre : Objfile.t)
       Trace.count "store.create.skipped_units" 1;
       d
     | None ->
-      let d = Prepost.diff_unit ~pre ~post in
+      let d = Diffobj.diff_unit ~pre ~post in
       ignore (Diff_codec.remember store ~key d : Store.digest);
       d
   end
@@ -133,7 +128,7 @@ let binding_table (o : Objfile.t) =
    collide with a pre-side temp name of the same unit (run-pre inference
    resolves pre names against the unpatched kernel), so it ships under a
    [.post]-suffixed alias *)
-let alias_of (d : Prepost.unit_diff) name =
+let alias_of (d : Diffobj.unit_diff) name =
   match List.assoc_opt name d.renames with
   | Some pre_name -> pre_name
   | None ->
@@ -154,7 +149,7 @@ let note_sections ~(pre : Objfile.t) (post : Objfile.t) =
 
 (* (section, defining symbols) pairs to ship, post names, in a stable
    order; rodata slices become their own single-symbol sections *)
-let carve_minimal ~pre (post : Objfile.t) (d : Prepost.unit_diff) =
+let carve_minimal ~pre (post : Objfile.t) (d : Diffobj.unit_diff) =
   let out = ref [] in
   let shipped_sections = Hashtbl.create 8 in
   List.iter
@@ -191,13 +186,13 @@ let carve_minimal ~pre (post : Objfile.t) (d : Prepost.unit_diff) =
   List.iter (fun s -> out := (s, []) :: !out) (note_sections ~pre post);
   List.rev !out
 
-let carve_whole ~pre (post : Objfile.t) (d : Prepost.unit_diff) =
+let carve_whole ~pre (post : Objfile.t) (d : Diffobj.unit_diff) =
   let notes = note_sections ~pre post in
   let ship (s : Section.t) =
     match s.kind with
     | Section.Text | Section.Rodata -> true
     | Section.Data | Section.Bss -> (
-      match Prepost.dataname_of_section s with
+      match Diffobj.dataname_of_section s with
       | Some n -> List.mem n d.new_data
       | None -> false)
     | Section.Note -> List.memq s notes
@@ -360,7 +355,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
               ~post:(unit_obj post_build unit_name))
           patched_units
       in
-      if List.for_all Prepost.is_empty diffs then Error No_object_changes
+      if List.for_all Diffobj.is_empty diffs then Error No_object_changes
       else begin
         (* how many units of the pre build define a raw Func name: the
            helper minimiser's ambiguity oracle (kallsyms will offer one
@@ -390,7 +385,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
         let shipped = ref [] in
         let has_hooks = ref false in
         List.iter2
-          (fun unit_name (d : Prepost.unit_diff) ->
+          (fun unit_name (d : Diffobj.unit_diff) ->
             match Kbuild.find_unit post_build unit_name with
             | None -> ()
             | Some u ->
@@ -460,7 +455,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
                           let reason =
                             match List.assoc_opt sym.name d.inclusion with
                             | Some r -> r
-                            | None -> Prepost.Closure_of "whole-unit"
+                            | None -> Diffobj.Closure_of "whole-unit"
                           in
                           (rename sym.name, reason))
                         syms)
@@ -472,7 +467,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
            code; the diff names the exact symbol, not just its section *)
         let data_changes =
           List.concat_map
-            (fun (d : Prepost.unit_diff) ->
+            (fun (d : Diffobj.unit_diff) ->
               List.map (fun n -> (d.unit_name, n)) d.changed_data)
             diffs
         in
@@ -503,12 +498,12 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
           in
           let helpers =
             List.filter_map
-              (fun (unit_name, (d : Prepost.unit_diff)) ->
+              (fun (unit_name, (d : Diffobj.unit_diff)) ->
                 match Kbuild.find_unit pre_build unit_name with
                 | None -> None
                 | Some (u : Kbuild.unit_build) ->
                   if not minimal then Some u.obj
-                  else if Prepost.is_empty d then None
+                  else if Diffobj.is_empty d then None
                   else
                     let replaced_raw = d.changed_functions in
                     Some

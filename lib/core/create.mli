@@ -7,13 +7,13 @@
 
     Differencing itself (symbol correlation, per-function code
     comparison, dependency closure, data classification) lives in
-    {!Diffobj}, re-exported through {!Prepost}; this module turns a
-    unit's diff into the shipped update: it {e carves} exactly the
-    included symbols out of the post object into the primary (rodata
-    ships as per-symbol slices, not whole pools), rewrites relocations
-    onto canonical pre-side names so run-pre inference resolves them
-    against the unpatched kernel, and trims each helper to the pre text
-    sections that run-pre matching actually needs. *)
+    {!Diffobj}; this module turns a unit's diff into the shipped
+    update: it {e carves} exactly the included symbols out of the post
+    object into the primary (rodata ships as per-symbol slices, not
+    whole pools), rewrites relocations onto canonical pre-side names so
+    run-pre inference resolves them against the unpatched kernel, and
+    trims each helper to the pre text sections that run-pre matching
+    actually needs. *)
 
 type request = {
   source : Patchfmt.Source_tree.t;  (** source of the running kernel *)
@@ -42,20 +42,20 @@ type provenance = {
   p_unit : string;
   p_patch : Patchfmt.Diff.stats;  (** the patch restricted to this unit *)
   p_hunks : int;
-  p_shipped : (string * Prepost.reason) list;
+  p_shipped : (string * Diffobj.reason) list;
       (** canonical primary symbol -> inclusion reason *)
 }
 
 type created = {
   update : Update.t;
-  diffs : Prepost.unit_diff list;  (** per patched unit *)
+  diffs : Diffobj.unit_diff list;  (** per patched unit *)
   provenance : provenance list;  (** per patched unit *)
 }
 
 (** All shipped symbols of a creation as
     [(canonical, (unit, reason))] — every defined symbol of
     [update.primary] appears exactly once. *)
-val shipped_symbols : created -> (string * (string * Prepost.reason)) list
+val shipped_symbols : created -> (string * (string * Diffobj.reason)) list
 
 (** [create ?build_options ?domains ?minimal ?store request] builds the
     update. [build_options] defaults to {!Minic.Driver.pre_build}

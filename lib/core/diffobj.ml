@@ -21,8 +21,6 @@ let reason_to_string = function
   | Closure_of s -> "closure-of " ^ s
   | Data_referent s -> "data-referent " ^ s
 
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
-
 type unit_diff = {
   unit_name : string;
   changed_functions : string list;
@@ -436,3 +434,78 @@ let pp_unit_diff ppf d =
     d.removed_functions pl d.changed_data pl d.changed_rodata pl d.new_data
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pr)
     d.inclusion
+
+let empty unit_name =
+  { unit_name; changed_functions = []; new_functions = [];
+    removed_functions = []; changed_data = []; changed_rodata = [];
+    new_data = []; renames = []; inclusion = [] }
+
+(* --- the unit-diff/2 codec (UDF2) ---
+
+   Netstrings behind a magic, so a v1 blob (which led with a digit) can
+   never parse: counted lists, and each reason one netstring holding a
+   tag letter plus its argument. *)
+
+let codec =
+  let module W = Codec.W in
+  let module R = Codec.R in
+  let magic = "UDF2" in
+  let write_pair b (x, y) =
+    W.ns b x;
+    W.ns b y
+  in
+  let write_reason b = function
+    | Changed -> W.ns b "c"
+    | New -> W.ns b "n"
+    | Closure_of s -> W.ns b ("o" ^ s)
+    | Data_referent s -> W.ns b ("d" ^ s)
+  in
+  let write b d =
+    Buffer.add_string b magic;
+    W.ns b d.unit_name;
+    List.iter (W.ns_list W.ns b)
+      [ d.changed_functions; d.new_functions; d.removed_functions;
+        d.changed_data; d.changed_rodata; d.new_data ];
+    W.ns_list write_pair b d.renames;
+    W.ns_list
+      (fun b (sym, r) ->
+        W.ns b sym;
+        write_reason b r)
+      b d.inclusion
+  in
+  let names r = R.ns_list r R.ns in
+  let read_pair r =
+    let x = R.ns r in
+    let y = R.ns r in
+    (x, y)
+  in
+  let read_reason r =
+    let s = R.ns r in
+    let arg () = String.sub s 1 (String.length s - 1) in
+    match s with
+    | "c" -> Changed
+    | "n" -> New
+    | _ when String.starts_with ~prefix:"o" s -> Closure_of (arg ())
+    | _ when String.starts_with ~prefix:"d" s -> Data_referent (arg ())
+    | _ -> R.fail r "unknown inclusion reason"
+  in
+  let read r =
+    R.magic r magic;
+    let unit_name = R.ns r in
+    let changed_functions = names r in
+    let new_functions = names r in
+    let removed_functions = names r in
+    let changed_data = names r in
+    let changed_rodata = names r in
+    let new_data = names r in
+    let renames = R.ns_list r read_pair in
+    let inclusion =
+      R.ns_list r (fun r ->
+          let sym = R.ns r in
+          let reason = read_reason r in
+          (sym, reason))
+    in
+    { unit_name; changed_functions; new_functions; removed_functions;
+      changed_data; changed_rodata; new_data; renames; inclusion }
+  in
+  { Codec.write; read }

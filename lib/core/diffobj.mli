@@ -1,5 +1,10 @@
-(** kpatch-grade object differencing: the engine behind {!Prepost} and
-    {!Create}, in four passes over a unit's pre/post objects.
+(** Pre-post differencing (§3): compare the object code of the kernel
+    built before and after the patch, per compilation unit, to find what
+    actually changed — including functions changed only indirectly (a
+    callee was re-inlined, a prototype ripple changed the caller's
+    code). This is the engine behind {!Create}; it does what kpatch's
+    [create-diff-object] does, in four passes over a unit's pre/post
+    objects.
 
     {ol
     {- {b Symbol correlation} — stable names correlate by name; MiniC
@@ -33,7 +38,6 @@ type reason =
           datum and must be replaced to pick up the new reference *)
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 
 type unit_diff = {
   unit_name : string;
@@ -62,6 +66,15 @@ val pp_unit_diff : Format.formatter -> unit_diff -> unit
     moved padding. *)
 val is_empty : unit_diff -> bool
 
+(** The all-empty diff for [unit_name]. *)
+val empty : string -> unit_diff
+
+(** The [unit-diff/2] format ([UDF2]), in which {!Create} caches unit
+    diffs in the artifact store: the magic, then {!Codec} netstrings.
+    Decoding is total — truncations, bit flips and blobs of the retired
+    [unit-diff/1] format yield an error, never an exception. *)
+val codec : unit_diff Codec.t
+
 (** [fname_of_section s] extracts the function name from a [.text.<f>]
     section. *)
 val fname_of_section : Objfile.Section.t -> string option
@@ -73,27 +86,6 @@ val dataname_of_section : Objfile.Section.t -> string option
 (** [is_temp name] holds for compiler-generated local symbol names
     ([.L*]), whose numbering carries no identity across builds. *)
 val is_temp : string -> bool
-
-(** Pass-2 verdict for one function. *)
-type verdict =
-  | Same
-  | Code_changed
-  | Refs_changed_data of string list
-      (** unchanged instruction stream; these post-side read-only syms
-          it references have no pre counterpart by content *)
-
-(** The correlation computed by pass 1. *)
-type correlation = { temp_map : (string, string) Hashtbl.t }
-
-val correlate : pre:Objfile.t -> post:Objfile.t -> correlation
-
-(** [code_verdict ~corr ~pre ~post] statically compares two builds of
-    one function ({!Runpre.match_text}'s static twin). *)
-val code_verdict :
-  corr:correlation ->
-  pre:Objfile.Section.t ->
-  post:Objfile.Section.t ->
-  verdict
 
 (** A defined symbol's byte range within its section. *)
 type slice = {

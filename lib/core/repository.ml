@@ -85,56 +85,50 @@ let entry_ref digest = "entry:" ^ digest
    the per-update refs stay intact for mid-chain machines *)
 let cumulative_ref digest = "cumulative:" ^ digest
 
-let encode_entry store (e : entry) =
-  let b = Buffer.create 4096 in
-  let put_str s =
-    Buffer.add_int32_le b (Int32.of_int (String.length s));
-    Buffer.add_string b s
-  in
-  Buffer.add_string b entry_magic;
-  put_str e.base_digest;
-  put_str e.next_digest;
-  put_str e.patch_text;
-  put_str (Bytes.to_string (Update.to_bytes_store store e.update));
-  Buffer.contents b
+module W = Codec.W
+module R = Codec.R
 
-(* (base_digest, next_digest, patch_text, update_bytes), without
-   decoding the update — shared by entry reads and the GC's
-   reachability expansion *)
-let parse_entry_fields raw =
-  let mlen = String.length entry_magic in
-  if String.length raw < mlen || String.sub raw 0 mlen <> entry_magic then
-    Error "bad entry magic"
-  else begin
-    let pos = ref mlen in
-    let get_str () =
-      if !pos + 4 > String.length raw then failwith "truncated entry";
-      let n = Int32.to_int (String.get_int32_le raw !pos) in
-      pos := !pos + 4;
-      if n < 0 || !pos + n > String.length raw then failwith "truncated entry";
-      let s = String.sub raw !pos n in
-      pos := !pos + n;
-      s
+(* the magic, then four strings: base digest, next digest, patch text
+   and the serialised update — readable without decoding the update,
+   which is all the GC's reachability expansion needs *)
+let entry_fields =
+  let write b (base, next, patch, update) =
+    Buffer.add_string b entry_magic;
+    List.iter (W.str b) [ base; next; patch; update ]
+  in
+  let read r =
+    R.magic r entry_magic;
+    let base = R.str r in
+    let next = R.str r in
+    let patch = R.str r in
+    let update = R.str r in
+    (base, next, patch, update)
+  in
+  { Codec.write; read }
+
+let entry_codec store =
+  let write b (e : entry) =
+    entry_fields.write b
+      ( e.base_digest, e.next_digest, e.patch_text,
+        Bytes.unsafe_to_string (Update.to_bytes_store store e.update) )
+  in
+  let read r =
+    let base_digest, next_digest, patch_text, update_bytes =
+      entry_fields.read r
     in
-    match
-      let base_digest = get_str () in
-      let next_digest = get_str () in
-      let patch_text = get_str () in
-      let update_bytes = get_str () in
-      (base_digest, next_digest, patch_text, update_bytes)
-    with
-    | exception Failure m -> Error m
-    | fields -> Ok fields
-  end
+    let update =
+      R.nested r
+        (fun s -> Update.of_bytes_store store (Bytes.unsafe_of_string s))
+        update_bytes
+    in
+    { base_digest; next_digest; patch_text; update }
+  in
+  { Codec.write; read }
 
 let decode_entry store ~digest raw =
-  let fail reason = Error (Corrupt_entry { digest; reason }) in
-  match parse_entry_fields raw with
-  | Error reason -> fail reason
-  | Ok (base_digest, next_digest, patch_text, update_bytes) -> (
-    match Update.of_bytes_store store (Bytes.of_string update_bytes) with
-    | Error e -> fail (Update.decode_error_to_string e)
-    | Ok update -> Ok { base_digest; next_digest; patch_text; update })
+  Codec.decode (entry_codec store) raw
+  |> Result.map_error (fun e ->
+         Corrupt_entry { digest; reason = Codec.error_to_string e })
 
 let read_ref_entry t ~ref_name ~digest =
   match Store.find_ref t.store ref_name with
@@ -161,7 +155,7 @@ let read_cumulative t digest =
 let commit_entry t ~ref_name e =
   match
     Store.with_txn t.store (fun () ->
-        let d = Store.put t.store (encode_entry t.store e) in
+        let d = Store.put t.store (Codec.encode (entry_codec t.store) e) in
         Store.commit_refs t.store [ (ref_name, d) ])
   with
   | () -> Ok e
@@ -354,20 +348,14 @@ let fsck t =
    update's interned objects; a bare KSPL2 update blob reaches the same;
    anything else (helper objects themselves) is a leaf *)
 let expand_blob _digest raw =
-  let mlen = String.length entry_magic in
   let update_bytes =
-    if String.length raw >= mlen && String.sub raw 0 mlen = entry_magic then
-      match parse_entry_fields raw with
-      | Ok (_, _, _, ub) -> Some ub
-      | Error _ -> None
-    else Some raw
+    if not (String.starts_with ~prefix:entry_magic raw) then raw
+    else
+      match Codec.decode entry_fields raw with
+      | Ok (_, _, _, ub) -> ub
+      | Error _ -> ""
   in
-  match update_bytes with
-  | None -> []
-  | Some ub -> (
-    match Update.store_digests (Bytes.of_string ub) with
-    | Ok ds -> ds
-    | Error _ -> [])
+  Update.store_digests (Bytes.unsafe_of_string update_bytes)
 
 let gc t =
   match Store.gc ~expand:expand_blob t.store with
@@ -382,10 +370,11 @@ let closure raw = expand_blob "" raw
    themselves (never from server metadata): an entry whose serialised
    update supersedes something is cumulative *)
 let blob_ref raw =
-  match parse_entry_fields raw with
+  match Codec.decode entry_fields raw with
   | Error _ -> None
   | Ok (base, _next, _patch, update_bytes) ->
-    if Update.supersedes_of_bytes (Bytes.of_string update_bytes) <> [] then
+    if Update.supersedes_of_bytes (Bytes.unsafe_of_string update_bytes) <> []
+    then
       Some (cumulative_ref base)
     else Some (entry_ref base)
 
@@ -425,8 +414,9 @@ let manifest t ~digest =
         match load_sized ~owner:digest blob_digest with
         | Error e -> Error e
         | Ok raw -> (
-          match parse_entry_fields raw with
-          | Error reason -> Error (Corrupt_entry { digest; reason })
+          match Codec.decode entry_fields raw with
+          | Error e ->
+            Error (Corrupt_entry { digest; reason = Codec.error_to_string e })
           | Ok (me_base, me_next, _patch, _ub) ->
             let rec sized acc = function
               | [] -> Ok (List.rev acc)

@@ -46,6 +46,12 @@ type entry = {
   update : Update.t;
 }
 
+(** The entry blob format, [KSPLREPO2]: the magic, then the base digest,
+    the next digest, the patch text and the store-backed update
+    ({!Update.to_bytes_store} through [store]), each a {!Codec} string.
+    Decoding resolves the update's objects through [store]. *)
+val entry_codec : Store.t -> entry Codec.t
+
 type error =
   | Not_a_directory of string
   | Already_published of string

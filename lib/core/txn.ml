@@ -26,9 +26,6 @@ let step_name = function
   | Trampoline -> "trampoline"
   | Commit -> "commit"
 
-let step_of_name n =
-  List.find_opt (fun s -> String.equal (step_name s) n) all_steps
-
 type tag = Mech | Hook | Sched
 
 type entry = {

@@ -26,280 +26,158 @@ let split_canonical n =
     (String.sub n 0 i, Some (String.sub n (i + 1) (String.length n - i - 1)))
   | None -> (n, None)
 
-(* --- serialisation --- *)
+(* --- serialisation ---
 
-let magic = "KSPL1"
-
-let put_int b v = Buffer.add_int32_le b (Int32.of_int v)
-
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
-
-let put_obj b o =
-  let bytes = Objfile.to_bytes o in
-  put_int b (Bytes.length bytes);
-  Buffer.add_bytes b bytes
-
-let put_list b f l =
-  put_int b (List.length l);
-  List.iter (f b) l
-
-let put_pair b (x, y) =
-  put_str b x;
-  put_str b y
-
-let to_bytes u =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b magic;
-  put_str b u.update_id;
-  put_str b u.description;
-  put_list b put_str u.patched_units;
-  put_list b put_pair u.replaced_functions;
-  put_obj b u.primary;
-  put_list b put_obj u.helpers;
-  put_list b put_pair u.primary_sym_units;
-  put_list b put_str u.supersedes;
-  put_list b put_str u.shadow_ctors;
-  put_list b put_str u.shadow_dtors;
-  Buffer.to_bytes b
-
-(* Decoding is total: a corrupt blob — out of the CAS, off the wire, or
-   handed to the CLI — yields a typed [Error], never an escaped
-   exception. The reader raises the private [Decode] exception
-   internally; the [of_bytes*] entry points are the only boundaries that
-   catch it. *)
-type decode_error = { de_off : int; de_reason : string }
-
-exception Decode of decode_error
-
-let pp_decode_error ppf e =
-  Format.fprintf ppf "%s at byte %d" e.de_reason e.de_off
-
-let decode_error_to_string e = Format.asprintf "%a" pp_decode_error e
-
-type reader = { buf : Bytes.t; mutable pos : int }
-
-let bad r reason = raise (Decode { de_off = r.pos; de_reason = reason })
-
-let need r n =
-  if n < 0 || r.pos + n > Bytes.length r.buf then bad r "truncated input"
-
-let get_int r =
-  need r 4;
-  let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) in
-  r.pos <- r.pos + 4;
-  if v < 0 then bad r "negative length";
-  v
-
-let get_str r =
-  let n = get_int r in
-  need r n;
-  let s = Bytes.sub_string r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let get_obj r =
-  let n = get_int r in
-  need r n;
-  match Objfile.of_bytes (Bytes.sub r.buf r.pos n) with
-  | Error e ->
-    bad r
-      (Printf.sprintf "bad embedded object: %s"
-         (Objfile.decode_error_to_string e))
-  | Ok o ->
-    r.pos <- r.pos + n;
-    o
-
-let get_list r f = List.init (get_int r) (fun _ -> f r)
-
-let get_pair r =
-  let a = get_str r in
-  let b = get_str r in
-  (a, b)
-
-let decode_self r =
-  let update_id = get_str r in
-  let description = get_str r in
-  let patched_units = get_list r get_str in
-  let replaced_functions = get_list r get_pair in
-  let primary = get_obj r in
-  let helpers = get_list r get_obj in
-  let primary_sym_units = get_list r get_pair in
-  let supersedes = get_list r get_str in
-  let shadow_ctors = get_list r get_str in
-  let shadow_dtors = get_list r get_str in
-  { update_id; description; patched_units; replaced_functions; primary;
-    helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
-
-let of_bytes buf =
-  match
-    let r = { buf; pos = 0 } in
-    need r (String.length magic);
-    (match Bytes.sub_string buf 0 (String.length magic) with
-    | m when String.equal m magic -> ()
-    | "KSPL2" | "KSPL3" ->
-      bad r
-        "store-backed update file; decode it with of_bytes_store against \
-         the artifact store it was written through"
-    | _ -> bad r "bad magic");
-    r.pos <- String.length magic;
-    decode_self r
-  with
-  | u -> Ok u
-  | exception Decode e -> Error e
-
-let of_bytes_exn buf =
-  match of_bytes buf with
-  | Ok u -> u
-  | Error e -> failwith ("Update: " ^ decode_error_to_string e)
-
-(* --- store-backed serialisation (KSPL2 / KSPL3) ---
-
-   Object payloads (the primary and every helper) are interned in the
-   artifact store and the file carries only their digests, so stacked
-   updates sharing a base kernel share one physical copy of each common
-   helper. KSPL3 extends KSPL2 with the cumulative records — the update
-   ids this blob supersedes (atomic replace) and the shadow-variable
-   constructor/destructor hooks; the writer emits KSPL3 only when one of
+   KSPL1 embeds every object; KSPL2 and KSPL3 intern the primary and
+   every helper in the artifact store and carry only their digests, so
+   stacked updates sharing a base kernel share one physical copy of each
+   common helper. KSPL3 adds the cumulative records — the update ids
+   this blob supersedes (atomic replace) and the shadow-variable
+   constructor/destructor hooks; the writer emits it only when one of
    those is present, so ordinary updates stay byte-identical to their
-   KSPL2 encoding and every old blob remains readable. *)
+   KSPL2 encoding. *)
 
+module W = Codec.W
+module R = Codec.R
+
+type decode_error = Codec.error
+
+let decode_error_to_string = Codec.error_to_string
+
+let self_magic = "KSPL1"
 let store_magic = "KSPL2"
 let cumulative_magic = "KSPL3"
 
-let intern_obj store o =
-  Store.put store (Bytes.to_string (Objfile.to_bytes o))
+let has_cumulative_records u =
+  u.supersedes <> [] || u.shadow_ctors <> [] || u.shadow_dtors <> []
 
-let to_bytes_store store u =
-  let cumulative =
-    u.supersedes <> [] || u.shadow_ctors <> [] || u.shadow_dtors <> []
-  in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (if cumulative then cumulative_magic else store_magic);
-  put_str b u.update_id;
-  put_str b u.description;
-  put_list b put_str u.patched_units;
-  put_list b put_pair u.replaced_functions;
-  put_str b (intern_obj store u.primary);
-  put_list b put_str (List.map (intern_obj store) u.helpers);
-  put_list b put_pair u.primary_sym_units;
-  if cumulative then begin
-    put_list b put_str u.supersedes;
-    put_list b put_str u.shadow_ctors;
-    put_list b put_str u.shadow_dtors
+let write_pair b (x, y) =
+  W.str b x;
+  W.str b y
+
+let read_pair r =
+  let x = R.str r in
+  let y = R.str r in
+  (x, y)
+
+(* the magic decides the layout: KSPL2 stops before the cumulative
+   records, KSPL1 and KSPL3 carry them *)
+let encode ~magic ~obj u =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b magic;
+  W.str b u.update_id;
+  W.str b u.description;
+  W.list W.str b u.patched_units;
+  W.list write_pair b u.replaced_functions;
+  obj b u.primary;
+  W.list obj b u.helpers;
+  W.list write_pair b u.primary_sym_units;
+  if not (String.equal magic store_magic) then begin
+    W.list W.str b u.supersedes;
+    W.list W.str b u.shadow_ctors;
+    W.list W.str b u.shadow_dtors
   end;
   Buffer.to_bytes b
 
-(* Which store-backed format a blob claims, by magic alone. *)
-let store_format buf =
-  let mlen = String.length store_magic in
-  if Bytes.length buf < mlen then `Unknown
-  else
-    match Bytes.sub_string buf 0 mlen with
-    | m when String.equal m magic -> `Self
-    | m when String.equal m store_magic -> `Store
-    | m when String.equal m cumulative_magic -> `Cumulative
-    | _ -> `Unknown
+let read_fields ~magic ~obj r =
+  let update_id = R.str r in
+  let description = R.str r in
+  let patched_units = R.list r R.str in
+  let replaced_functions = R.list r read_pair in
+  let primary = obj r in
+  let helpers = R.list r obj in
+  let primary_sym_units = R.list r read_pair in
+  let supersedes, shadow_ctors, shadow_dtors =
+    if String.equal magic store_magic then ([], [], [])
+    else
+      let s = R.list r R.str in
+      let c = R.list r R.str in
+      let d = R.list r R.str in
+      (s, c, d)
+  in
+  R.finish r;
+  let u =
+    { update_id; description; patched_units; replaced_functions; primary;
+      helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
+  in
+  (* the writer never emits an empty KSPL3: such a blob is KSPL2's *)
+  if String.equal magic cumulative_magic && not (has_cumulative_records u)
+  then R.fail r "KSPL3 without cumulative records";
+  u
+
+let to_bytes =
+  encode ~magic:self_magic ~obj:(fun b o ->
+      W.str b (Codec.encode Objfile.codec o))
+
+let embedded r =
+  R.nested ~prefix:"bad embedded object: " r (Codec.decode Objfile.codec)
+    (R.str r)
+
+let read_self = read_fields ~magic:self_magic ~obj:embedded
+
+(* one read of the magic picks the format: KSPL1 goes to [self], the
+   store-backed two to [store] *)
+let decode buf ~self ~store =
+  R.run
+    (fun r ->
+      match R.take r (String.length self_magic) with
+      | m when String.equal m self_magic -> self r
+      | m when String.equal m store_magic || String.equal m cumulative_magic
+        ->
+        store ~magic:m r
+      | _ -> R.fail ~off:0 r "bad magic")
+    (Bytes.unsafe_to_string buf)
+  |> Result.map fst
+
+let of_bytes buf =
+  decode buf ~self:read_self ~store:(fun ~magic:_ r ->
+      R.fail ~off:0 r
+        "store-backed update file; decode it with of_bytes_store against \
+         the artifact store it was written through")
+
+let intern_obj store o = Store.put store (Codec.encode Objfile.codec o)
+
+let to_bytes_store store u =
+  encode
+    ~magic:
+      (if has_cumulative_records u then cumulative_magic else store_magic)
+    ~obj:(fun b o -> W.str b (intern_obj store o))
+    u
 
 let of_bytes_store store buf =
-  match store_format buf with
-  | `Self ->
-    (* self-contained legacy file: no store needed *)
-    of_bytes buf
-  | `Unknown -> Error { de_off = 0; de_reason = "bad magic" }
-  | (`Store | `Cumulative) as fmt -> (
-    let fetch_obj r d =
-      match Store.load store d with
-      | Ok raw -> (
-        match Objfile.of_bytes (Bytes.of_string raw) with
-        | Ok o -> o
-        | Error e ->
-          bad r
-            (Printf.sprintf "object %s does not parse: %s" d
-               (Objfile.decode_error_to_string e)))
-      | Error `Missing -> bad r ("object " ^ d ^ " is not in the artifact store")
-      | Error (`Corrupt m) -> bad r ("corrupt object: " ^ m)
-    in
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let update_id = get_str r in
-      let description = get_str r in
-      let patched_units = get_list r get_str in
-      let replaced_functions = get_list r get_pair in
-      let primary = fetch_obj r (get_str r) in
-      let helpers = get_list r get_str |> List.map (fetch_obj r) in
-      let primary_sym_units = get_list r get_pair in
-      let supersedes, shadow_ctors, shadow_dtors =
-        match fmt with
-        | `Store -> ([], [], [])
-        | `Cumulative ->
-          let s = get_list r get_str in
-          let c = get_list r get_str in
-          let d = get_list r get_str in
-          (s, c, d)
-      in
-      { update_id; description; patched_units; replaced_functions; primary;
-        helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
-    with
-    | u -> Ok u
-    | exception Decode e -> Error e)
+  let fetch r =
+    let d = R.str r in
+    match Store.load store d with
+    | Ok raw -> (
+      match Codec.decode Objfile.codec raw with
+      | Ok o -> o
+      | Error e ->
+        R.fail r
+          (Printf.sprintf "object %s does not parse: %s" d
+             (Codec.error_to_string e)))
+    | Error `Missing ->
+      R.fail r ("object " ^ d ^ " is not in the artifact store")
+    | Error (`Corrupt m) -> R.fail r ("corrupt object: " ^ m)
+  in
+  decode buf ~self:read_self ~store:(read_fields ~obj:fetch)
 
-(* The store digests a serialised update references, without fetching
-   (or needing) the objects themselves — the GC's reachability edge. A
-   self-contained KSPL1 file references nothing. *)
+(* The object digests (primary first) and the superseded ids of a blob,
+   read from its bytes alone: the objects are never fetched. A KSPL1
+   file references nothing and supersedes nothing. *)
+let header buf =
+  let digests = ref [] in
+  let digest r =
+    digests := R.str r :: !digests;
+    Objfile.make ~unit_name:"" ~sections:[] ~symbols:[]
+  in
+  decode buf
+    ~self:(fun _ -> ([], []))
+    ~store:(fun ~magic r ->
+      let u = read_fields ~magic ~obj:digest r in
+      (List.rev !digests, u.supersedes))
+
 let store_digests buf =
-  match store_format buf with
-  | `Self -> Ok []
-  | `Unknown -> Error "Update: bad magic"
-  | `Store | `Cumulative -> (
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let _update_id = get_str r in
-      let _description = get_str r in
-      let _patched_units = get_list r get_str in
-      let _replaced_functions = get_list r get_pair in
-      let primary = get_str r in
-      let helpers = get_list r get_str in
-      primary :: helpers
-    with
-    | ds -> Ok ds
-    | exception Decode e -> Error ("Update: " ^ decode_error_to_string e))
+  match header buf with Ok (ds, _) -> ds | Error _ -> []
 
-(* The ids a serialised update supersedes, parsed from the blob alone
-   (no store): how a subscriber recognises a cumulative entry in the
-   bytes it received, rather than trusting the server's framing. An
-   unparseable or non-cumulative blob supersedes nothing. *)
 let supersedes_of_bytes buf =
-  match store_format buf with
-  | `Self | `Store | `Unknown -> []
-  | `Cumulative -> (
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let _update_id = get_str r in
-      let _description = get_str r in
-      let _patched_units = get_list r get_str in
-      let _replaced_functions = get_list r get_pair in
-      let _primary = get_str r in
-      let _helpers = get_list r get_str in
-      let _primary_sym_units = get_list r get_pair in
-      get_list r get_str
-    with
-    | ds -> ds
-    | exception Decode _ -> [])
-
-let write_file path u =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc (to_bytes u))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      of_bytes_exn b)
+  match header buf with Ok (_, s) -> s | Error _ -> []

@@ -54,22 +54,26 @@ val canonical :
 (** [split_canonical n] recovers [(original_name, unit option)]. *)
 val split_canonical : string -> string * string option
 
-(** Why a blob failed to decode: the byte offset the reader stood at and
-    what it found there. Decoding is {e total} — arbitrary bytes yield
-    [Error], never an exception. *)
-type decode_error = { de_off : int; de_reason : string }
+(** {2 Serialisation}
 
-val pp_decode_error : Format.formatter -> decode_error -> unit
+    Three formats, one field sequence in {!Codec}'s binary framing:
+    the magic, the id, the description, the patched units, the replaced
+    functions, the primary object, the helper objects, the primary's
+    symbol units, and — in [KSPL1] and [KSPL3] only — the superseded
+    ids and the shadow constructors and destructors. Decoding is
+    {e total}: arbitrary bytes, trailing garbage included, yield
+    [Error], never an exception. *)
+
+type decode_error = Codec.error
+
 val decode_error_to_string : decode_error -> string
 
 (** Self-contained serialisation (format [KSPL1]): every object payload
     is embedded. [of_bytes] refuses store-backed [KSPL2]/[KSPL3] files
-    with an error naming {!of_bytes_store}; [of_bytes_exn] is the legacy
-    interface, raising [Failure] instead. *)
+    with an error naming {!of_bytes_store}. *)
 
 val to_bytes : t -> Bytes.t
 val of_bytes : Bytes.t -> (t, decode_error) result
-val of_bytes_exn : Bytes.t -> t
 
 (** Store-backed serialisation (formats [KSPL2] and [KSPL3]): the
     primary and helper objects are interned in the artifact store and the
@@ -77,8 +81,8 @@ val of_bytes_exn : Bytes.t -> t
     kernel share one physical copy of each common helper. The writer
     emits [KSPL3] only when the update carries cumulative records
     ([supersedes] or shadow hooks), so ordinary updates stay
-    byte-identical to their [KSPL2] encoding. [of_bytes_store] reads all
-    three formats — a [KSPL1] file decodes without touching the store; a
+    byte-identical to their [KSPL2] encoding, and a [KSPL3] blob without
+    them is rejected. [of_bytes_store] reads all three formats — a [KSPL1] file decodes without touching the store; a
     store-backed file resolves its digests through [store], failing
     cleanly if a referenced blob is missing or corrupt. *)
 
@@ -86,19 +90,14 @@ val to_bytes_store : Store.t -> t -> Bytes.t
 val of_bytes_store : Store.t -> Bytes.t -> (t, decode_error) result
 
 (** The store digests a serialised update references (primary first,
-    then helpers), parsed from the header alone — the blobs are never
-    fetched. A self-contained [KSPL1] file references nothing ([Ok []]).
-    This is the GC's reachability edge from an update blob to the object
-    blobs it shares with other updates. *)
-val store_digests : Bytes.t -> (string list, string) result
+    then helpers), read from the blob alone — the objects are never
+    fetched. A self-contained [KSPL1] file, or an undecodable one,
+    references nothing. This is the GC's reachability edge from an
+    update blob to the object blobs it shares with other updates. *)
+val store_digests : Bytes.t -> string list
 
-(** The update ids a serialised [KSPL3] blob supersedes, parsed from the
+(** The update ids a serialised [KSPL3] blob supersedes, read from the
     bytes alone (no store): how a subscriber recognises a cumulative
     entry in what it actually received. Anything non-cumulative or
-    unparseable supersedes nothing. *)
+    undecodable supersedes nothing. *)
 val supersedes_of_bytes : Bytes.t -> string list
-
-(** Convenience file IO. [read_file] raises [Failure] on malformed
-    contents. *)
-val write_file : string -> t -> unit
-val read_file : string -> t

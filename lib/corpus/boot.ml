@@ -21,8 +21,14 @@ let call_if_present b name args =
 
 let boot ?(workers = 0) ?tree () =
   let tree = match tree with Some t -> t | None -> Base_kernel.tree () in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let image = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build, image =
+    match Kbuild.build_tree ~options:Minic.Driver.run_build tree with
+    | Error e -> failwith (Format.asprintf "boot: %a" Kbuild.pp_error e)
+    | Ok build -> (
+      match Image.link ~base:0x100000 (Kbuild.objects build) with
+      | Error e -> failwith (Format.asprintf "boot: %a" Image.pp_error e)
+      | Ok image -> (build, image))
+  in
   let machine = Machine.create image in
   let b = { build; image; machine } in
   List.iter (fun f -> call_if_present b f []) Base_kernel.init_functions;

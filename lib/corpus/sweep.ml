@@ -1434,11 +1434,11 @@ let run_dmrow (cve : Cve.t) base =
       List.exists (fun (_, (_, r)) -> p r) reasons
     in
     let closure =
-      has_reason (function Ksplice.Prepost.Closure_of _ -> true | _ -> false)
+      has_reason (function Ksplice.Diffobj.Closure_of _ -> true | _ -> false)
     in
     let data_ref =
       has_reason (function
-        | Ksplice.Prepost.Data_referent _ -> true
+        | Ksplice.Diffobj.Data_referent _ -> true
         | _ -> false)
     in
     (* minimal apply: measured, then proven complete *)

@@ -124,7 +124,7 @@ let handle s bytes =
         if s.state <> Dead then drain ()
       | Error `Incomplete -> ()
       | Error (`Fail e) ->
-        out := !out @ err s "frame" "%a" Wire.pp_decode_error e
+        out := !out @ err s "frame" "%s" e.reason
     in
     drain ();
     List.map Wire.encode !out

@@ -149,12 +149,12 @@ let pair ?recv_timeout () =
 (* --- frame layer --- *)
 
 type recv_error =
-  | Decode of Wire.decode_error
+  | Decode of Codec.error
   | Disconnected
   | Stalled_out of string
 
 let pp_recv_error ppf = function
-  | Decode e -> Wire.pp_decode_error ppf e
+  | Decode e -> Format.pp_print_string ppf e.reason
   | Disconnected -> Format.fprintf ppf "connection closed"
   | Stalled_out m -> Format.fprintf ppf "stalled: %s" m
 

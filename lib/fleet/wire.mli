@@ -38,22 +38,16 @@ type frame =
   | Done of { head : string }
   | Err of { code : string; msg : string }
 
-type decode_error =
-  | Bad_magic
-  | Bad_length of int  (** negative or beyond the frame size bound *)
-  | Checksum_mismatch
-  | Bad_tag of int
-  | Malformed of string  (** payload structure does not parse *)
-
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
 (** Short human-readable form, for logs and sweep notes. *)
 val pp_frame : Format.formatter -> frame -> unit
 
 val encode : frame -> string
 
 (** [decode buf ~pos] parses one frame starting at [pos]. [Ok (f, p)]
-    is the frame and the position just past it. Total: never raises. *)
+    is the frame and the position just past it. [`Fail] carries the
+    offset in [buf] and one of: a bad magic, a length that is negative
+    or beyond the frame size bound, a checksum mismatch, an unknown tag,
+    or a malformed payload. Total: never raises. *)
 val decode :
   string -> pos:int ->
-  (frame * int, [ `Incomplete | `Fail of decode_error ]) result
+  (frame * int, [ `Incomplete | `Fail of Codec.error ]) result

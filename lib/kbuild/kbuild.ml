@@ -20,8 +20,6 @@ let pp_error ppf = function
   | Unit_assemble_failed { unit_name; line; reason } ->
     Format.fprintf ppf "%s:%d: %s" unit_name line reason
 
-exception Build_error of string
-
 (* internal: carries the typed error out of the domain pool; Parallel.map
    re-raises the smallest-index failure, so the surfaced error is
    deterministically the first failing unit in path order *)
@@ -67,67 +65,40 @@ let options_fingerprint (o : Minic.Driver.options) =
     o.codegen.align_loops o.inline_enabled o.auto_inline_max
     o.explicit_inline_max
 
-(* netstring-style framing: "<decimal len>:<bytes>" per field *)
-module Unit_codec = Store.Typed (struct
+(* kbuild-unit/1: netstrings — the source name, the SELF1 object, then
+   the inline decisions as a counted list of (caller, callee) *)
+let unit_codec =
+  let module W = Codec.W in
+  let module R = Codec.R in
+  let write_decision b (d : Minic.Inline.decision) =
+    W.ns b d.caller;
+    W.ns b d.callee
+  in
+  let write b u =
+    W.ns b u.source_name;
+    W.ns b (Codec.encode Objfile.codec u.obj);
+    W.ns_list write_decision b u.inline_decisions
+  in
+  let read_decision r : Minic.Inline.decision =
+    let caller = R.ns r in
+    let callee = R.ns r in
+    { caller; callee }
+  in
+  let read r =
+    let source_name = R.ns r in
+    let obj =
+      R.nested ~prefix:"bad object: " r (Codec.decode Objfile.codec) (R.ns r)
+    in
+    let inline_decisions = R.ns_list r read_decision in
+    { source_name; obj; inline_decisions }
+  in
+  { Codec.write; read }
+
+module Unit_store = Store.Typed (struct
   type v = unit_build
 
   let codec_id = "kbuild-unit/1"
-
-  let put_str b s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-
-  let encode u =
-    let b = Buffer.create 1024 in
-    put_str b u.source_name;
-    put_str b (Bytes.to_string (Objfile.to_bytes u.obj));
-    put_str b (string_of_int (List.length u.inline_decisions));
-    List.iter
-      (fun (d : Minic.Inline.decision) ->
-        put_str b d.caller;
-        put_str b d.callee)
-      u.inline_decisions;
-    Buffer.contents b
-
-  let decode s =
-    let pos = ref 0 in
-    let fail m = failwith (Printf.sprintf "%s at byte %d" m !pos) in
-    let get_str () =
-      match String.index_from_opt s !pos ':' with
-      | None -> fail "missing length prefix"
-      | Some colon ->
-        let len =
-          match int_of_string_opt (String.sub s !pos (colon - !pos)) with
-          | Some n when n >= 0 -> n
-          | _ -> fail "bad length prefix"
-        in
-        if colon + 1 + len > String.length s then fail "truncated field";
-        pos := colon + 1 + len;
-        String.sub s (colon + 1) len
-    in
-    match
-      let source_name = get_str () in
-      let obj =
-        match Objfile.of_bytes (Bytes.of_string (get_str ())) with
-        | Ok o -> o
-        | Error e -> fail ("bad object: " ^ Objfile.decode_error_to_string e)
-      in
-      let n =
-        match int_of_string_opt (get_str ()) with
-        | Some n when n >= 0 -> n
-        | _ -> fail "bad decision count"
-      in
-      let inline_decisions =
-        List.init n (fun _ ->
-            let caller = get_str () in
-            let callee = get_str () in
-            ({ caller; callee } : Minic.Inline.decision))
-      in
-      { source_name; obj; inline_decisions }
-    with
-    | u -> Ok u
-    | exception Failure m -> Error m
+  let codec = unit_codec
 end)
 
 let compile_one ~options path contents =
@@ -135,7 +106,7 @@ let compile_one ~options path contents =
     Digest.to_hex (Digest.string contents)
     ^ "|" ^ path ^ "|" ^ options_fingerprint options
   in
-  match Unit_codec.lookup the_store key with
+  match Unit_store.lookup the_store key with
   | Some u -> u
   | None ->
     let u =
@@ -160,7 +131,7 @@ let compile_one ~options path contents =
                   { unit_name = path; line; reason = msg }))
       end
     in
-    ignore (Unit_codec.remember the_store ~key u : Store.digest);
+    ignore (Unit_store.remember the_store ~key u : Store.digest);
     u
 
 let is_source path =
@@ -178,11 +149,6 @@ let build_tree ?domains ~options tree =
   with
   | units -> Ok { units; options }
   | exception Fail e -> Error e
-
-let build_tree_exn ?domains ~options tree =
-  match build_tree ?domains ~options tree with
-  | Ok b -> b
-  | Error e -> raise (Build_error (Format.asprintf "%a" pp_error e))
 
 let objects b = List.map (fun u -> u.obj) b.units
 

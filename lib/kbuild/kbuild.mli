@@ -33,11 +33,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Raised only by {!build_tree_exn}, for callers that still want the
-    exception convention; the message is [pp_error] applied to the typed
-    error. *)
-exception Build_error of string
-
 (** [build_tree ?domains ~options tree] compiles every [.c] and [.s] file
     of the tree, in path order, using up to [domains] domains (default
     {!Parallel.default_domains}; [1] forces a fully sequential build).
@@ -46,12 +41,6 @@ exception Build_error of string
 val build_tree :
   ?domains:int -> options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
   (build, error) result
-
-(** {!build_tree} for callers without a failure path of their own.
-    @raise Build_error on the first failing unit. *)
-val build_tree_exn :
-  ?domains:int -> options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
-  build
 
 (** [objects b] lists the object files in build order. *)
 val objects : build -> Objfile.t list
@@ -75,6 +64,10 @@ val inlined_callees : build -> (string * string * string) list
 
 (** The artifact store backing the compile cache. *)
 val store : unit -> Store.t
+
+(** The cached-unit format, [kbuild-unit/1]: the source name, the SELF1
+    object and the inline decisions, as {!Codec} netstrings. *)
+val unit_codec : unit_build Codec.t
 
 type cache_stats = {
   hits : int;  (** lookups served from the cache (cumulative) *)

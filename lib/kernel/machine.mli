@@ -52,8 +52,6 @@ type thread = {
     scheduler quantum in {!run}. *)
 type safe_point = Sp_syscall | Sp_quantum
 
-val safe_point_name : safe_point -> string
-
 type t
 
 (** [create ?mem_size image] boots the image into fresh memory
@@ -107,10 +105,6 @@ type index_stats = {
 
 val kallsyms_index_stats : unit -> index_stats
 
-(** [privileged_ranges t] are [start, end_) code ranges allowed to use
-    privileged escapes: kernel text plus registered module text. *)
-val privileged_ranges : t -> (int * int) list
-
 val add_privileged_range : t -> int * int -> unit
 
 (** Memory access (host side), little-endian. The first 4 KiB and
@@ -137,7 +131,6 @@ val alloc_module : t -> size:int -> align:int -> int
 val spawn : t -> name:string -> uid:int -> entry:int -> args:int32 list -> thread
 
 val threads : t -> thread list
-val find_thread : t -> int -> thread option
 
 (** [run t ~steps] executes up to [steps] instructions across runnable
     threads, round-robin with a small quantum. Returns the number of
@@ -168,9 +161,6 @@ val stop_machine : t -> (unit -> 'a) -> 'a * int
     to diagnose §5.2 quiescence failures ("which thread still sits in the
     function I want to patch, and where was it called from?"). *)
 val backtrace : t -> thread -> string list
-
-(** Wire the [INT 0x80] syscall gate to the given entry address. *)
-val set_syscall_entry : t -> int -> unit
 
 val syscall_entry : t -> int option
 
@@ -262,8 +252,6 @@ val remove_privileged_range : t -> int * int -> unit
     rolled-back transaction unwinds them. *)
 
 val shadow_attach : t -> obj:int -> key:int -> size:int -> int
-val shadow_get : t -> obj:int -> key:int -> int option
-val shadow_detach : t -> obj:int -> key:int -> unit
 
 (** Number of live shadow bindings. *)
 val shadow_count : t -> int

@@ -36,26 +36,14 @@ val defined_symbols_in : t -> string -> Symbol.t list
     defined by any symbol of [o]. *)
 val undefined_symbols : t -> string list
 
-(** Binary serialisation. *)
-val to_bytes : t -> Bytes.t
+(** {2 Binary serialisation: the SELF1 format}
 
-(** Why a blob failed to decode: the byte offset the reader stood at and
-    what it found there. Decoding is {e total} — arbitrary bytes yield
+    [magic "SELF1"], the unit name, the sections (name, kind byte, size,
+    alignment, bytes, relocations) and the symbols, every field in
+    {!Codec}'s binary framing. Decoding is {e total}: arbitrary bytes,
+    including trailing garbage after a well-formed object, yield
     [Error], never an exception. *)
-type decode_error = { de_off : int; de_reason : string }
 
-val pp_decode_error : Format.formatter -> decode_error -> unit
-val decode_error_to_string : decode_error -> string
-
-val of_bytes : Bytes.t -> (t, decode_error) result
-
-(** [of_bytes_exn] is {!of_bytes}, raising [Failure] on malformed input
-    (the pre-typed-error interface, for callers that cannot recover
-    anyway). *)
-val of_bytes_exn : Bytes.t -> t
-
-(** Convenience file IO. [read_file] raises [Failure] on malformed
-    contents. *)
-val write_file : string -> t -> unit
-
-val read_file : string -> t
+val codec : t Codec.t
+val to_bytes : t -> Bytes.t
+val of_bytes : Bytes.t -> (t, Codec.error) result

@@ -155,75 +155,50 @@ let write_atomic vfs path contents =
    the recorded old values; a torn tail is discarded (the commit never
    reached its fsync, so no ref file was written). *)
 
-let ns_add b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
+module W = Codec.W
+module R = Codec.R
 
-let ns_read raw pos =
-  match String.index_from_opt raw pos ':' with
-  | None -> None
-  | Some colon -> (
-    match int_of_string_opt (String.sub raw pos (colon - pos)) with
-    | Some n when n >= 0 && colon + 1 + n <= String.length raw ->
-      Some (String.sub raw (colon + 1) n, colon + 1 + n)
-    | _ -> None)
+let journal_payload =
+  let write_ref b (rname, old_d, new_d) =
+    W.ns b rname;
+    W.ns b old_d;
+    W.ns b new_d
+  in
+  let read_ref r =
+    let rname = R.ns r in
+    let old_d = R.ns r in
+    let new_d = R.ns r in
+    (rname, old_d, new_d)
+  in
+  { Codec.write = W.ns_list write_ref; read = (fun r -> R.ns_list r read_ref) }
 
-let journal_record updates =
-  let b = Buffer.create 256 in
-  ns_add b (string_of_int (List.length updates));
-  List.iter
-    (fun (rname, old_d, new_d) ->
-      ns_add b rname;
-      ns_add b old_d;
-      ns_add b new_d)
-    updates;
-  let payload = Buffer.contents b in
-  "J1 "
-  ^ string_of_int (String.length payload)
-  ^ ":" ^ payload ^ digest_of_string payload ^ "\n"
-
-let parse_payload payload =
-  let ( let* ) = Option.bind in
-  let* count_s, pos = ns_read payload 0 in
-  let* count = int_of_string_opt count_s in
-  if count < 0 then None
-  else
-    let rec triples acc pos = function
-      | 0 -> if pos = String.length payload then Some (List.rev acc) else None
-      | k ->
-        let* rname, pos = ns_read payload pos in
-        let* old_d, pos = ns_read payload pos in
-        let* new_d, pos = ns_read payload pos in
-        triples ((rname, old_d, new_d) :: acc) pos (k - 1)
-    in
-    triples [] pos count
+let journal_codec =
+  let write b refs =
+    let payload = Codec.encode journal_payload refs in
+    Buffer.add_string b "J1 ";
+    W.ns b payload;
+    Buffer.add_string b (digest_of_string payload);
+    Buffer.add_char b '\n'
+  in
+  let read r =
+    R.magic r "J1 ";
+    let payload = R.ns r in
+    let refs = R.nested r (Codec.decode journal_payload) payload in
+    if not (String.equal (R.take r 32) (digest_of_string payload)) then
+      R.fail r "record checksum mismatch";
+    if R.take r 1 <> "\n" then R.fail r "unterminated record";
+    refs
+  in
+  { Codec.write; read }
 
 (* -> (complete records, torn-tail count: 0 or 1) *)
 let parse_journal raw =
-  let len = String.length raw in
   let rec go pos records =
-    if pos >= len then (List.rev records, 0)
+    if pos >= String.length raw then (List.rev records, 0)
     else
-      let record =
-        if pos + 3 > len || not (String.equal (String.sub raw pos 3) "J1 ")
-        then None
-        else
-          match ns_read raw (pos + 3) with
-          | Some (payload, next)
-            when next + 32 < len
-                 && raw.[next + 32] = '\n'
-                 && String.equal
-                      (String.sub raw next 32)
-                      (digest_of_string payload) -> (
-            match parse_payload payload with
-            | Some refs -> Some (refs, next + 33)
-            | None -> None)
-          | _ -> None
-      in
-      match record with
-      | None -> (List.rev records, 1)
-      | Some (refs, next) -> go next (refs :: records)
+      match R.run ~pos journal_codec.read raw with
+      | Ok (refs, next) -> go next (refs :: records)
+      | Error _ -> (List.rev records, 1)
   in
   go 0 []
 
@@ -604,7 +579,7 @@ let commit_refs t updates =
         let jp = journal_path dir in
         (* the commit point: once this record is on stable storage the
            transaction roll-forwards; before it, nothing was written *)
-        t.vfs.Vfs.append_file jp (journal_record record);
+        t.vfs.Vfs.append_file jp (Codec.encode journal_codec record);
         t.vfs.Vfs.fsync jp;
         List.iter
           (fun (rname, d) ->
@@ -625,7 +600,7 @@ let append_journal t updates =
     locked t (fun () ->
         let jp = journal_path dir in
         t.vfs.Vfs.append_file jp
-          (journal_record
+          (Codec.encode journal_codec
              (List.map
                 (fun (rname, old_d, new_d) ->
                   (rname, Option.value old_d ~default:"", new_d))
@@ -932,14 +907,13 @@ module type VALUE = sig
   type v
 
   val codec_id : string
-  val encode : v -> string
-  val decode : string -> (v, string) result
+  val codec : v Codec.t
 end
 
 module Typed (V : VALUE) = struct
   type packed += P of V.v
 
-  let put t v = put t (V.encode v)
+  let put t v = put t (Codec.encode V.codec v)
 
   let get t d =
     let fast =
@@ -958,8 +932,8 @@ module Typed (V : VALUE) = struct
     | `Raw data -> (
       (* resident but not yet decoded for this type: decode outside the
          lock, then memoise (last writer wins; values are equal) *)
-      match V.decode data with
-      | Error m -> Error (`Decode (V.codec_id ^ ": " ^ m))
+      match Codec.decode V.codec data with
+      | Error e -> Error (`Decode (V.codec_id ^ ": " ^ Codec.error_to_string e))
       | Ok v ->
         locked t (fun () ->
             match Hashtbl.find_opt t.blobs d with
@@ -977,7 +951,7 @@ module Typed (V : VALUE) = struct
       None
 
   let remember t ~key v =
-    let d = remember t ~key (V.encode v) in
+    let d = remember t ~key (Codec.encode V.codec v) in
     (* the encoder round-trips; memoise the original value so hits share
        one physical artifact *)
     locked t (fun () ->

@@ -12,7 +12,7 @@
       duplicate bytes counted as saved); [get]/[load] retrieve.
     - {b refs}: mutable names pointing at blob digests (a compile-cache
       key, a repository chain head) — the only mutable state.
-    - {b typed codecs}: {!Typed} wraps a blob in an encode/decode pair
+    - {b typed codecs}: {!Typed} wraps a blob in a versioned {!Codec.t}
       and memoises the decoded value on the in-memory entry, so a cache
       hit costs no re-decode.
 
@@ -144,6 +144,13 @@ val with_txn : t -> (unit -> 'a) -> 'a
     ref did not exist. *)
 val append_journal : t -> (string * digest option * digest) list -> unit
 
+(** One journal record, [J1]: ["J1 "], a {!Codec} netstring holding the
+    payload — the counted [(ref, old digest, new digest)] netstring
+    triples, [""] for a ref that did not exist — then the payload's MD5
+    in hex and a newline. Recovery reads records until the first that
+    does not decode: that one is a torn tail. *)
+val journal_codec : (string * digest * digest) list Codec.t
+
 (** {2 Recovery, fsck, GC} *)
 
 type recovery_report = {
@@ -255,8 +262,7 @@ module type VALUE = sig
   (** Versioned codec label, e.g. ["kbuild-unit/1"]. *)
   val codec_id : string
 
-  val encode : v -> string
-  val decode : string -> (v, string) result
+  val codec : v Codec.t
 end
 
 (** Blob access through a codec, with the decoded value memoised on the

@@ -35,7 +35,6 @@ type histogram = {
 
 let enabled = Atomic.make false
 let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 (* Every mutable structure below is guarded by [lock]; the per-domain
    span context lives in domain-local storage and needs none. *)

@@ -61,7 +61,6 @@ type record = {
 (** {2 Lifecycle} *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 (** Install the clock stamped on every record. Use a deterministic
     monotone source ([Machine.instructions_retired]); the default is a

@@ -29,7 +29,6 @@ let cond_of_int = function
 let cond_name = function
   | Eq -> "e" | Ne -> "ne" | Lt -> "l" | Ge -> "ge" | Gt -> "g" | Le -> "le"
 
-let pp_cond ppf c = Format.pp_print_string ppf (cond_name c)
 
 type width = W8 | W16 | W32
 

@@ -19,7 +19,6 @@ type cond = Eq | Ne | Lt | Ge | Gt | Le
 
 val cond_to_int : cond -> int
 val cond_of_int : int -> cond option
-val pp_cond : Format.formatter -> cond -> unit
 
 (** Memory access widths. 8- and 16-bit loads zero-extend; signedness is the
     compiler's job via {!Sext8}/{!Sext16}. *)

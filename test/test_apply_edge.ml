@@ -42,8 +42,10 @@ int peek(int v) {
 
 let boot src =
   let tree = Tree.of_list [ ("k/t.c", src) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let img = Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build)) in
   (tree, img, Machine.create img)
 
 let call m img name args =

@@ -9,8 +9,10 @@ module Baseline = Ksplice.Source_level
 let t name f = Alcotest.test_case name `Quick f
 
 let image_of tree =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  Klink.Image.link_exn ~base:0x100000 (Kbuild.objects build)
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  Result.get_ok (Klink.Image.link ~base:0x100000 (Kbuild.objects build))
 
 let evaluate tree tree' =
   match

@@ -84,7 +84,7 @@ let test_all_patches_create () =
           true
           (c.update.replaced_functions <> []
            || List.exists
-                (fun (d : Ksplice.Prepost.unit_diff) -> d.new_functions <> [])
+                (fun (d : Ksplice.Diffobj.unit_diff) -> d.new_functions <> [])
                 c.diffs)
       | Error e ->
         Alcotest.failf "%s: create failed: %a" cve.id Create.pp_error e)

@@ -1,4 +1,4 @@
-(* The minimal-differencing engine (Diffobj/Prepost/Create): benign
+(* The minimal-differencing engine (Diffobj/Create): benign
    rebuild noise must produce empty diffs, genuinely changed functions
    ship alone, data referents and closure inclusions are detected, every
    shipped symbol carries a reason, and the unit-diff/2 store codec is
@@ -8,17 +8,17 @@ module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
 module Update = Ksplice.Update
 module Create = Ksplice.Create
-module Prepost = Ksplice.Prepost
+module Diffobj = Ksplice.Diffobj
 module Apply = Ksplice.Apply
 
 let t name f = Alcotest.test_case name `Quick f
 let slist = Alcotest.(list string)
 
 let compile ?(options = Minic.Driver.pre_build) src =
-  (Minic.Driver.compile_exn ~options ~unit_name:"u.c" src).obj
+  (Result.get_ok (Minic.Driver.compile ~options ~unit_name:"u.c" src)).obj
 
 let diff ?options_pre ?options_post a b =
-  Prepost.diff_unit
+  Diffobj.diff_unit
     ~pre:(compile ?options:options_pre a)
     ~post:(compile ?options:options_post b)
 
@@ -42,7 +42,7 @@ int pick(int w) { if (w) return tag_a()[0]; return tag_b()[0]; }
 |}
   in
   let d = diff a b in
-  Alcotest.(check bool) "reorder is noise" true (Prepost.is_empty d)
+  Alcotest.(check bool) "reorder is noise" true (Diffobj.is_empty d)
 
 (* the same source built with and without loop alignment differs only in
    no-op padding, which the comparison skips like run-pre matching does *)
@@ -67,7 +67,7 @@ int sum(int n) {
     }
   in
   let d = diff ~options_post:aligned src src in
-  Alcotest.(check bool) "alignment padding is noise" true (Prepost.is_empty d)
+  Alcotest.(check bool) "alignment padding is noise" true (Diffobj.is_empty d)
 
 (* whole-tree check through Create: a patch that perturbs the source
    without changing any object code must yield No_object_changes *)
@@ -107,19 +107,19 @@ int csum() {
   (* the reader ships as a data referent, the slice by closure *)
   let reason_of n = List.assoc_opt n d.inclusion in
   (match reason_of "csum" with
-   | Some (Prepost.Data_referent _) -> ()
+   | Some (Diffobj.Data_referent _) -> ()
    | r ->
      Alcotest.failf "csum reason: %s"
        (match r with
-        | Some r -> Prepost.reason_to_string r
+        | Some r -> Diffobj.reason_to_string r
         | None -> "not shipped"));
   let slice = List.hd d.changed_rodata in
   (match reason_of slice with
-   | Some (Prepost.Closure_of "csum") -> ()
+   | Some (Diffobj.Closure_of "csum") -> ()
    | r ->
      Alcotest.failf "%s reason: %s" slice
        (match r with
-        | Some r -> Prepost.reason_to_string r
+        | Some r -> Diffobj.reason_to_string r
         | None -> "not shipped"))
 
 let test_unchanged_neighbors_not_shipped () =
@@ -160,13 +160,13 @@ let test_banner_refresh_end_to_end () =
   Alcotest.(check bool) "banner_csum ships as data referent" true
     (List.exists
        (function
-         | sym, (_, Prepost.Data_referent _) ->
+         | sym, (_, Diffobj.Data_referent _) ->
            String.length sym >= 11 && String.sub sym 0 11 = "banner_csum"
          | _ -> false)
        reasons);
   Alcotest.(check bool) "a rodata slice ships by closure" true
     (List.exists
-       (function _, (_, Prepost.Closure_of _) -> true | _ -> false)
+       (function _, (_, Diffobj.Closure_of _) -> true | _ -> false)
        reasons);
   (* apply to a live kernel: the hook refreshes the derived checksum
      through the trampolined banner_csum *)
@@ -276,10 +276,10 @@ int get() { return cfg + tag()[0] + extra; }
 
 let test_codec_roundtrip () =
   let d = sample_diff () in
-  match Prepost.decode (Prepost.encode d) with
+  match Codec.decode Diffobj.codec (Codec.encode Diffobj.codec d) with
   | Ok d' ->
     Alcotest.(check bool) "roundtrip" true (d = d')
-  | Error e -> Alcotest.failf "decode: %a" Prepost.pp_decode_error e
+  | Error e -> Alcotest.failf "decode: %s" (Codec.error_to_string e)
 
 let test_codec_rejects_v1_blob () =
   (* the retired unit-diff/1 codec led with a decimal length, never the
@@ -287,22 +287,22 @@ let test_codec_rejects_v1_blob () =
      the store layer), not an exception *)
   List.iter
     (fun blob ->
-      match Prepost.decode blob with
+      match Codec.decode Diffobj.codec blob with
       | Ok _ -> Alcotest.failf "v1-style blob %S parsed" blob
       | Error _ -> ())
     [ ""; "3:u.c"; "1|get|"; "UDF1"; "UDF2"; "UDF2trailing" ]
 
 let decode_total s =
-  match Prepost.decode s with
+  match Codec.decode Diffobj.codec s with
   | Ok _ -> true
   | Error _ -> true
   | exception _ -> false
 
 let test_codec_every_prefix_rejected () =
-  let good = Prepost.encode (sample_diff ()) in
+  let good = Codec.encode Diffobj.codec (sample_diff ()) in
   for n = 0 to String.length good - 1 do
     let p = String.sub good 0 n in
-    (match Prepost.decode p with
+    (match Codec.decode Diffobj.codec p with
      | Ok _ -> Alcotest.failf "prefix of %d bytes parsed" n
      | Error _ -> ()
      | exception e ->
@@ -315,7 +315,9 @@ let prop_codec_byte_flip_total =
     ~count:500
     (tup2 (int_range 0 100_000) (int_range 1 255))
     (fun (pos, flip) ->
-      let good = Bytes.of_string (Prepost.encode (sample_diff ())) in
+      let good =
+        Bytes.of_string (Codec.encode Diffobj.codec (sample_diff ()))
+      in
       let pos = pos mod Bytes.length good in
       Bytes.set_uint8 good pos (Bytes.get_uint8 good pos lxor flip);
       decode_total (Bytes.to_string good))

@@ -66,8 +66,10 @@ let cum ?(supersedes = [ "hop-1"; "hop-2" ]) () =
   mk_update ~supersedes ~id:"cum" ~from:base_tree ~to_:tree2 ()
 
 let boot_base () =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build base_tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build base_tree)
+  in
+  let img = Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build)) in
   let m = Machine.create img in
   let mgr = Apply.init m in
   let call () =

@@ -21,7 +21,7 @@ let boot src =
   let obj =
     Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false src
   in
-  let img = Image.link_exn ~base:0x100000 [ obj ] in
+  let img = Result.get_ok (Image.link ~base:0x100000 [ obj ]) in
   (img, Machine.create img)
 
 let addr img name = (Option.get (Image.lookup_global img name)).Image.addr
@@ -85,8 +85,10 @@ let test_straddling_tail () =
 let test_trampoline () =
   let src = "int answer() {\n  return 1;\n}\n" in
   let tree = Tree.of_list [ ("k/a.c", src) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let img = Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build)) in
   let m = Machine.create img in
   let answer = addr img "answer" in
   Alcotest.(check int32) "before apply" 1l (call m answer);

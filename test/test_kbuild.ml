@@ -17,7 +17,9 @@ let tree1 =
     ]
 
 let test_builds_only_sources () =
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
+  let b =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree1)
+  in
   check
     (Alcotest.list Alcotest.string)
     "units" [ "a.c"; "b.c"; "e.s" ]
@@ -26,7 +28,9 @@ let test_builds_only_sources () =
 let test_determinism () =
   (* identical source + options => byte-identical objects *)
   let obj_bytes tree =
-    let b = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+    let b =
+      Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
+    in
     List.map (fun o -> Bytes.to_string (Objfile.to_bytes o)) (Kbuild.objects b)
   in
   check
@@ -35,9 +39,13 @@ let test_determinism () =
 
 let test_cache_physical_reuse () =
   (* unchanged units are the same compiled artifact across builds *)
-  let b1 = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
+  let b1 =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree1)
+  in
   let tree2 = Tree.add tree1 "a.c" "int x = 2;\nint get_x() { return x; }\n" in
-  let b2 = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree2 in
+  let b2 =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree2)
+  in
   let find b n = Option.get (Kbuild.find_unit b n) in
   Alcotest.(check bool)
     "b.c reused physically" true
@@ -47,8 +55,12 @@ let test_cache_physical_reuse () =
     (not (find b1 "a.c" == find b2 "a.c"))
 
 let test_options_invalidate_cache () =
-  let run = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
-  let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree1 in
+  let run =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree1)
+  in
+  let pre =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.pre_build tree1)
+  in
   let sections b n =
     List.map
       (fun (s : Objfile.Section.t) -> s.name)
@@ -65,7 +77,9 @@ let test_inline_metadata () =
          "int base = 4;\nint get_base() { return base; }\n\
           int calc(int v) { return get_base() * v; }\n") ]
   in
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
+  let b =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
   check
     (Alcotest.list
        (Alcotest.triple Alcotest.string Alcotest.string Alcotest.string))
@@ -83,11 +97,11 @@ let test_build_error_names_unit () =
     Alcotest.(check bool) "message names the unit" true
       (String.length reason >= 6 && String.sub reason 0 6 = "broken")
   | Error e -> Alcotest.failf "unexpected error: %a" Kbuild.pp_error e);
-  (* the legacy exception wrapper carries the same rendering *)
-  try
-    ignore (Kbuild.build_tree_exn ~options:Minic.Driver.run_build bad);
-    Alcotest.fail "expected Build_error"
-  with Kbuild.Build_error m ->
+  (* the rendered error leads with the unit too *)
+  match Kbuild.build_tree ~options:Minic.Driver.run_build bad with
+  | Ok _ -> Alcotest.fail "expected a typed build error"
+  | Error e ->
+    let m = Format.asprintf "%a" Kbuild.pp_error e in
     Alcotest.(check bool) "names the unit" true
       (String.length m >= 8 && String.sub m 0 6 = "broken")
 

@@ -14,7 +14,7 @@ let t name f = Alcotest.test_case name `Quick f
 (* build a machine whose kernel is a raw assembly unit *)
 let boot_asm src =
   let obj = Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false src in
-  let img = Image.link_exn ~base:0x100000 [ obj ] in
+  let img = Result.get_ok (Image.link ~base:0x100000 [ obj ]) in
   (img, Machine.create img)
 
 let addr img name = (Option.get (Image.lookup_global img name)).Image.addr

@@ -14,7 +14,9 @@ let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 
 let compile ~unit_name src =
-  (Minic.Driver.compile_exn ~options:Minic.Driver.run_build ~unit_name src).obj
+  (Result.get_ok
+     (Minic.Driver.compile ~options:Minic.Driver.run_build ~unit_name src))
+    .obj
 
 let asm ~unit_name src =
   Asm.Assembler.assemble ~unit_name ~function_sections:false src
@@ -29,7 +31,7 @@ int blank[4];
 int get() { char *s = "str"; return counter + s[0]; }
 |}
   in
-  let img = Image.link_exn ~base:0x1000 [ o ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ o ]) in
   let find name =
     List.find (fun (_, s, _, _) -> String.equal s name) img.placements
   in
@@ -47,7 +49,7 @@ int get() { char *s = "str"; return counter + s[0]; }
 let test_cross_unit_relocation () =
   let a = compile ~unit_name:"a.c" "extern int shared; int get() { return shared; }" in
   let b = compile ~unit_name:"b.c" "int shared = 77;" in
-  let img = Image.link_exn ~base:0x1000 [ a; b ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ a; b ]) in
   let m = Kernel.Machine.create ~mem_size:0x100000 img in
   let sym = Option.get (Image.lookup_global img "get") in
   match Kernel.Machine.call_function m ~addr:sym.addr ~args:[] with
@@ -68,13 +70,12 @@ let test_duplicate_global_rejected () =
      check Alcotest.string "first unit" "a.c" dg_first_unit;
      check Alcotest.string "second unit" "b.c" dg_second_unit
    | Error e -> Alcotest.failf "unexpected error: %a" Image.pp_error e);
-  (* the legacy interface still raises, with the rendered message *)
-  try
-    ignore (Image.link_exn ~base:0x1000 [ a; b ]);
-    Alcotest.fail "expected Link_error"
-  with Image.Link_error m ->
+  (* the error renders to a message *)
+  match Image.link ~base:0x1000 [ a; b ] with
+  | Ok _ -> Alcotest.fail "expected a link error"
+  | Error e ->
     Alcotest.(check bool) "names symbol" true
-      (String.length m > 0)
+      (String.length (Format.asprintf "%a" Image.pp_error e) > 0)
 
 let test_local_scoping () =
   (* identically named statics resolve to their own unit's definition *)
@@ -84,7 +85,7 @@ let test_local_scoping () =
   let b =
     compile ~unit_name:"b.c" "static int v = 20; int getb() { return v; }"
   in
-  let img = Image.link_exn ~base:0x1000 [ a; b ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ a; b ]) in
   let m = Kernel.Machine.create ~mem_size:0x100000 img in
   let call name =
     let sym = Option.get (Image.lookup_global img name) in
@@ -109,7 +110,7 @@ let test_kallsyms_includes_locals () =
     compile ~unit_name:"a.c"
       "static int hidden = 1; int visible() { return hidden; }"
   in
-  let img = Image.link_exn ~base:0x1000 [ a ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ a ]) in
   Alcotest.(check int) "hidden in kallsyms" 1
     (List.length (Image.lookup img "hidden"));
   let h = List.hd (Image.lookup img "hidden") in
@@ -120,7 +121,7 @@ let test_symbol_census () =
   let a = compile ~unit_name:"a.c" "static int dup = 1; int ua() { return dup; }" in
   let b = compile ~unit_name:"b.c" "static int dup = 2; int ub() { return dup; }" in
   let c = compile ~unit_name:"c.c" "int solo() { return 0; }" in
-  let img = Image.link_exn ~base:0x1000 [ a; b; c ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ a; b; c ]) in
   let total, ambiguous = Image.symbol_census img in
   Alcotest.(check int) "total" 5 total;
   Alcotest.(check int) "ambiguous (two dup)" 2 ambiguous;
@@ -145,7 +146,7 @@ table:
   .word f+4
 |}
   in
-  let img = Image.link_exn ~base:0x1000 [ o ] in
+  let img = Result.get_ok (Image.link ~base:0x1000 [ o ]) in
   let f_addr = (Option.get (Image.lookup_global img "f")).addr in
   let table = (Option.get (Image.lookup_global img "table")).addr in
   let w0 = Bytes.get_int32_le img.data (table - img.base) in
@@ -188,8 +189,9 @@ let test_modlink_roundtrip () =
   Alcotest.(check bool) "bss placed" true
     (Option.is_some (Modlink.symbol_addr placed "mod_state"));
   let writes =
-    Modlink.relocate_exn placed ~resolve:(fun n ->
-        if n = "kernel_fn" then Some 0x1234 else None)
+    Result.get_ok
+      (Modlink.relocate placed ~resolve:(fun n ->
+           if n = "kernel_fn" then Some 0x1234 else None))
   in
   Alcotest.(check int) "two writes" 2 (List.length writes);
   (* decode the relocated call and verify its target *)
@@ -226,13 +228,12 @@ let test_modlink_unresolved () =
    | Error (Modlink.Unresolved_symbol { un_module; un_symbol; _ }) ->
      check Alcotest.string "module" "mod" un_module;
      check Alcotest.string "symbol" "missing" un_symbol);
-  (* the legacy interface still raises, with the rendered message *)
-  try
-    ignore (Modlink.relocate_exn placed ~resolve:(fun _ -> None));
-    Alcotest.fail "expected Load_error"
-  with Modlink.Load_error m ->
+  (* the error renders to a message *)
+  match Modlink.relocate placed ~resolve:(fun _ -> None) with
+  | Ok _ -> Alcotest.fail "expected Unresolved_symbol"
+  | Error e ->
     Alcotest.(check bool) "names the symbol" true
-      (String.length m > 0)
+      (String.length (Format.asprintf "%a" Modlink.pp_error e) > 0)
 
 let test_note_sections_not_placed () =
   let obj =

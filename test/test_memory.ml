@@ -18,7 +18,7 @@ let boot src =
   let obj =
     Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false src
   in
-  let img = Image.link_exn ~base:0x100000 [ obj ] in
+  let img = Result.get_ok (Image.link ~base:0x100000 [ obj ]) in
   (img, Machine.create img)
 
 let addr img name = (Option.get (Image.lookup_global img name)).Image.addr
@@ -276,11 +276,12 @@ tail:
 
 let model_img =
   lazy
-    (Image.link_exn ~base:0x1000
-       [
-         Asm.Assembler.assemble ~unit_name:"m.s" ~function_sections:false
-           model_src;
-       ])
+    (Result.get_ok
+       (Image.link ~base:0x1000
+          [
+            Asm.Assembler.assemble ~unit_name:"m.s" ~function_sections:false
+              model_src;
+          ]))
 
 (* one page-aligned size and one whose last page is partial, putting the
    exit gadget across a page boundary *)

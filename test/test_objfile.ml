@@ -70,7 +70,7 @@ let sample_object () =
 
 let test_serialisation_roundtrip () =
   let o = sample_object () in
-  let o' = Objfile.of_bytes_exn (Objfile.to_bytes o) in
+  let o' = Result.get_ok (Objfile.of_bytes (Objfile.to_bytes o)) in
   check Alcotest.string "unit name" o.unit_name o'.unit_name;
   check Alcotest.int "sections" (List.length o.sections)
     (List.length o'.sections);
@@ -89,21 +89,23 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Objfile.write_file path o;
-      let o' = Objfile.read_file path in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc (Objfile.to_bytes o));
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      let o' = Result.get_ok (Objfile.of_bytes (Bytes.of_string raw)) in
       check bool_c "file roundtrip symbols" true (o.symbols = o'.symbols))
 
 let test_bad_magic () =
   (match Objfile.of_bytes (Bytes.of_string "NOTSELF_____") with
    | Ok _ -> Alcotest.fail "bad magic accepted"
    | Error e ->
-     check bool_c "reason mentions magic" true
-       (String.length (Objfile.decode_error_to_string e) > 0));
-  check bool_c "exn interface raises Failure" true
-    (try
-       ignore (Objfile.of_bytes_exn (Bytes.of_string "NOTSELF_____"));
-       false
-     with Failure _ -> true)
+     check Alcotest.string "reason names the magic" "bad magic at byte 0"
+       (Codec.error_to_string e));
+  (* a well-formed object followed by garbage is not an object *)
+  let b = Objfile.to_bytes (sample_object ()) in
+  let b = Bytes.cat b (Bytes.of_string "!") in
+  check Alcotest.string "trailing garbage" "trailing bytes"
+    (match Objfile.of_bytes b with Ok _ -> "accepted" | Error e -> e.reason)
 
 let test_truncated_input () =
   let b = Objfile.to_bytes (sample_object ()) in

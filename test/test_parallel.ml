@@ -79,7 +79,8 @@ let test_parallel_build_identical () =
   let outcome ~domains =
     Kbuild.reset_cache ();
     let b =
-      Kbuild.build_tree_exn ~domains ~options:Minic.Driver.pre_build big_tree
+      Result.get_ok
+        (Kbuild.build_tree ~domains ~options:Minic.Driver.pre_build big_tree)
     in
     ( List.map
         (fun o -> Bytes.to_string (Objfile.to_bytes o))
@@ -105,7 +106,9 @@ let test_cache_lru_bound () =
           );
         ]
     in
-    ignore (Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree : Kbuild.build)
+    ignore
+      (Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+        : Kbuild.build)
   done;
   let s = Kbuild.cache_stats () in
   Kbuild.set_cache_capacity saved;
@@ -145,8 +148,10 @@ let tiny_machine () =
     Tree.of_list
       [ ("kernel/t.c", "int tv = 1;\nint tf(int p) { return p + tv; }\n") ]
   in
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  Machine.create (Image.link_exn ~base:0x100000 (Kbuild.objects b))
+  let b =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  Machine.create (Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects b)))
 
 let mk_sym name addr : Image.syminfo =
   {

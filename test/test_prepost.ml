@@ -2,21 +2,24 @@
    functions and data across two function-sections builds of one unit. *)
 
 module Tree = Patchfmt.Source_tree
-module Prepost = Ksplice.Prepost
+module Diffobj = Ksplice.Diffobj
 module Section = Objfile.Section
 
 let t name f = Alcotest.test_case name `Quick f
 let slist = Alcotest.(list string)
 
 let compile src =
-  (Minic.Driver.compile_exn ~options:Minic.Driver.pre_build ~unit_name:"u.c" src).obj
+  (Result.get_ok
+     (Minic.Driver.compile ~options:Minic.Driver.pre_build ~unit_name:"u.c"
+        src))
+    .obj
 
-let diff a b = Prepost.diff_unit ~pre:(compile a) ~post:(compile b)
+let diff a b = Diffobj.diff_unit ~pre:(compile a) ~post:(compile b)
 
 let test_identical () =
   let src = "int v = 3;\nint get() { return v; }\n" in
   let d = diff src src in
-  Alcotest.(check bool) "empty" true (Prepost.is_empty d)
+  Alcotest.(check bool) "empty" true (Diffobj.is_empty d)
 
 let test_changed_function () =
   let a = "int f(int x) { return x + 1; }\nint g(int x) { return x; }\n" in
@@ -81,13 +84,13 @@ let test_section_name_helpers () =
   in
   let bss = Section.make_bss ~name:".bss.baz" ~align:4 8 in
   Alcotest.(check (option string)) "fname" (Some "foo")
-    (Prepost.fname_of_section text);
+    (Diffobj.fname_of_section text);
   Alcotest.(check (option string)) "data name" (Some "bar")
-    (Prepost.dataname_of_section data);
+    (Diffobj.dataname_of_section data);
   Alcotest.(check (option string)) "bss name" (Some "baz")
-    (Prepost.dataname_of_section bss);
+    (Diffobj.dataname_of_section bss);
   Alcotest.(check (option string)) "text is not data" None
-    (Prepost.dataname_of_section text)
+    (Diffobj.dataname_of_section text)
 
 let suite =
   [

@@ -129,8 +129,10 @@ let prog_to_c (p : rprog) =
   Buffer.contents b
 
 let boot_tree tree =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let img = Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build)) in
   (img, Machine.create img)
 
 let observe (img, m) fname arg =
@@ -157,7 +159,9 @@ let prop_runpre_self_match =
     gen_prog (fun p ->
       let tree = Tree.of_list [ ("kernel/r.c", prog_to_c p) ] in
       let _, m = boot_tree tree in
-      let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let pre =
+        Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
+      in
       let helper = List.hd (Kbuild.objects pre) in
       let inference = Ksplice.Runpre.create_inference () in
       match
@@ -225,7 +229,9 @@ let prop_objdump_total =
   QCheck2.Test.make ~name:"objdump decodes all generated text" ~count:30
     gen_prog (fun p ->
       let tree = Tree.of_list [ ("kernel/r.c", prog_to_c p) ] in
-      let b = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let b =
+        Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
+      in
       List.for_all
         (fun (o : Objfile.t) ->
           List.for_all
@@ -256,7 +262,9 @@ let prop_mutation_detected =
       let orig = Machine.read_u8 m at in
       Machine.write_u8 m at ((orig + delta) land 0xff);
       let mutated = Machine.read_u8 m at <> orig in
-      let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let pre =
+        Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
+      in
       let helper = List.hd (Kbuild.objects pre) in
       let inference = Ksplice.Runpre.create_inference () in
       let outcome =

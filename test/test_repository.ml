@@ -119,8 +119,10 @@ let test_duplicate_publish_rejected () =
       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e)
 
 let boot_base () =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build base_tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    Result.get_ok (Kbuild.build_tree ~options:Minic.Driver.run_build base_tree)
+  in
+  let img = Result.get_ok (Image.link ~base:0x100000 (Kbuild.objects build)) in
   let m = Machine.create img in
   let mgr = Apply.init m in
   let call () =

@@ -129,18 +129,17 @@ module Pair_codec = Store.Typed (struct
   type v = string * string
 
   let codec_id = "test-pair/1"
-  let encode (a, b) = string_of_int (String.length a) ^ ":" ^ a ^ b
 
-  let decode s =
-    match String.index_opt s ':' with
-    | None -> Error "no separator"
-    | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
-      | Some n when n >= 0 && i + 1 + n <= String.length s ->
-        Ok
-          ( String.sub s (i + 1) n,
-            String.sub s (i + 1 + n) (String.length s - i - 1 - n) )
-      | _ -> Error "bad length")
+  let codec =
+    let write b (x, y) =
+      Codec.W.ns b x;
+      Codec.W.ns b y
+    in
+    let read r =
+      let x = Codec.R.ns r in
+      (x, Codec.R.ns r)
+    in
+    { Codec.write; read }
 end)
 
 let test_typed_codec () =

@@ -25,7 +25,7 @@ let corpus_updates =
 let test_roundtrip_all () =
   List.iter
     (fun (u : Update.t) ->
-      let u' = Update.of_bytes_exn (Update.to_bytes u) in
+      let u' = Result.get_ok (Update.of_bytes (Update.to_bytes u)) in
       Alcotest.(check string) (u.update_id ^ " id") u.update_id u'.update_id;
       Alcotest.(check bool)
         (u.update_id ^ " replaced functions")
@@ -66,7 +66,7 @@ let test_deserialised_update_applies () =
       (fun (u : Update.t) -> u.update_id = "CVE-2006-2451")
       (Lazy.force corpus_updates)
   in
-  let u' = Update.of_bytes_exn (Update.to_bytes u) in
+  let u' = Result.get_ok (Update.of_bytes (Update.to_bytes u)) in
   let b = Corpus.Boot.boot () in
   let mgr = Apply.init b.machine in
   (match Apply.apply mgr u' with
@@ -179,7 +179,7 @@ let test_kspl3_roundtrip () =
 
 let test_kspl1_roundtrips_cumulative_fields () =
   let u = cumulative_of (List.hd (Lazy.force corpus_updates)) in
-  let u' = Update.of_bytes_exn (Update.to_bytes u) in
+  let u' = Result.get_ok (Update.of_bytes (Update.to_bytes u)) in
   Alcotest.(check (list string)) "supersedes" u.supersedes u'.supersedes;
   Alcotest.(check (list string)) "ctors" u.shadow_ctors u'.shadow_ctors;
   Alcotest.(check (list string)) "dtors" u.shadow_dtors u'.shadow_dtors
